@@ -36,14 +36,14 @@ import (
 // counts. The zero value predicts 0 for everything; use Default or Fit.
 type Calibration struct {
 	// SecondsPerStep is the fitted marginal cost of one DDA cell-step
-	// in a single-level solve (all steps on the wavefront fast path).
+	// in a single-level solve (all steps on the walker's fast path).
 	SecondsPerStep float64 `json:"seconds_per_step"`
 	// SecondsPerStep2 is the fitted marginal per-step cost of 2-level
-	// solves. The batched marcher made fine-ROI fast-path steps
-	// cheaper without touching the level-crossing slow path, so the
-	// blended per-step cost of a multi-level march is systematically
-	// higher than a single-level one; a shared rate would mis-rank
-	// specs across the level classes. 0 means "unfitted, use
+	// solves. Fine-ROI steps run on the walker's fast path while level
+	// crossings take its cold tail, so the blended per-step cost of a
+	// multi-level march is systematically higher than a single-level
+	// one; a shared rate would mis-rank specs across the level
+	// classes. 0 means "unfitted, use
 	// SecondsPerStep" (degenerate sweeps, pre-existing calibration
 	// files).
 	SecondsPerStep2 float64 `json:"seconds_per_step_2,omitempty"`

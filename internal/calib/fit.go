@@ -75,8 +75,8 @@ func Fit(samples []Sample) (Calibration, error) {
 	}
 
 	// Least squares, richest model first: split step rates per level
-	// class (the wavefront fast path prices single-level steps below
-	// the level-crossing blend of 2-level marches), then a shared
+	// class (the walker's in-ROI fast path prices single-level steps
+	// below the level-crossing blend of 2-level marches), then a shared
 	// rate, then progressively fewer parameters.
 	if base, ps1, ps2, perRay, ok := fit4(samples); ok {
 		c.SecondsBase, c.SecondsPerStep, c.SecondsPerStep2, c.SecondsPerRay = base, ps1, ps2, perRay

@@ -749,24 +749,27 @@ func (c *Cluster) watch(job *Job, shard *Shard) {
 
 // fetchResult pulls the finished placement's divQ payload into the
 // job, rewriting the IDs to the router's. Returns false after
-// requeueing the job if the shard died between "done" and the fetch.
+// requeueing the job if the fetch failed.
 func (c *Cluster) fetchResult(job *Job, shard *Shard, shardID string) bool {
 	code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID+"/result", nil, nil)
-	if err != nil || code == http.StatusNotFound {
-		if err != nil {
-			c.shardLost(shard, err)
-		}
+	if err != nil && code == 0 {
+		// The transport failed: the shard died between "done" and the
+		// fetch.
+		c.shardLost(shard, err)
 		c.requeue(job, shard, true)
 		return false
 	}
-	if code != http.StatusOK {
+	if err == nil && code != http.StatusOK {
 		c.requeue(job, shard, true)
 		return false
 	}
 	var payload service.ResultPayload
-	if err := json.Unmarshal(body, &payload); err != nil {
-		// A torn or corrupt result body: the placement is not trusted,
-		// the shard is suspect.
+	if err != nil || json.Unmarshal(body, &payload) != nil {
+		// The shard answered, but the body tore mid-read or is corrupt:
+		// a request fault, not shard loss. The breaker counts it (a
+		// shard that keeps tearing trips open) and the placement is
+		// retried; health is left alone, so a few transient tears
+		// cannot mark a whole fleet down.
 		shard.recordFailure(time.Now())
 		c.requeue(job, shard, true)
 		return false
@@ -973,8 +976,9 @@ func (c *Cluster) healthLoop() {
 
 // do performs one backend HTTP call under the cluster's lifetime
 // context and returns the status code and body. hdr adds extra request
-// headers (nil for none). A non-nil error means the transport failed —
-// the shard, not the job, is suspect.
+// headers (nil for none). A non-nil error with code 0 means the
+// transport failed — the shard, not the job, is suspect; with a nonzero
+// code the shard answered but its body could not be read.
 func (c *Cluster) do(method, url string, body []byte, hdr map[string]string) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {
@@ -1000,7 +1004,7 @@ func (c *Cluster) do(method, url string, body []byte, hdr map[string]string) (in
 	// without letting a corrupt shard OOM the router.
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
 	if err != nil {
-		return 0, nil, err
+		return resp.StatusCode, nil, err
 	}
 	return resp.StatusCode, data, nil
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -173,6 +174,75 @@ func TestClusterTornBodyRecoversBitwise(t *testing.T) {
 	fin := waitDone(t, h.cluster, st.ID)
 	if fin.Attempts < 2 {
 		t.Fatalf("attempts = %d, want >= 2 (torn fetches must reroute)", fin.Attempts)
+	}
+	payload, _, _, err := h.cluster.Result(st.ID)
+	if err != nil || payload == nil {
+		t.Fatalf("result: %v / %v", payload, err)
+	}
+	want, _, _, err := spec.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range want.Data() {
+		if payload.DivQ[i] != v {
+			t.Fatalf("retried divQ differs from direct solve at %d: %g vs %g", i, payload.DivQ[i], v)
+		}
+	}
+}
+
+// TestClusterTornBodyIsNotShardLoss: result bodies that tear after the
+// shard answered are request faults, not shard loss. Three torn fetches
+// on one shard of a 2-shard fleet must neither mark a shard unhealthy
+// nor fast-fail the job with "no healthy shards"; the job retries and
+// finishes bitwise-identical to a direct solve.
+func TestClusterTornBodyIsNotShardLoss(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		hosts []string // host of each torn fetch
+	)
+	ft := resilience.NewFaultTransport(nil, resilience.FaultTransportConfig{
+		Seed:          5,
+		PTruncate:     1,
+		TruncateAfter: 16,
+		Match: func(r *http.Request) bool {
+			if !strings.HasSuffix(r.URL.Path, "/result") {
+				return false
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(hosts) == 3 {
+				return false
+			}
+			hosts = append(hosts, r.URL.Host)
+			return true
+		},
+	})
+	h := newTestHarness(t, 2, func(c *Config) {
+		c.Client = &http.Client{Transport: ft, Timeout: 2 * time.Second}
+		c.MaxAttempts = 10
+		c.BackoffBase = time.Millisecond
+		c.BackoffCap = 5 * time.Millisecond
+	})
+
+	spec := service.Spec{Kind: service.KindBenchmark, N: 12, Rays: 25, Seed: 17}
+	st, err := h.cluster.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitDone(t, h.cluster, st.ID)
+	mu.Lock()
+	torn := append([]string(nil), hosts...)
+	mu.Unlock()
+	if len(torn) != 3 || torn[1] != torn[0] || torn[2] != torn[0] {
+		t.Fatalf("torn fetches landed on %v, want 3 on one shard", torn)
+	}
+	if fin.Attempts < 4 {
+		t.Fatalf("attempts = %d, want >= 4 (three torn fetches, then success)", fin.Attempts)
+	}
+	for _, s := range h.cluster.Shards().Shards() {
+		if s.State() != ShardHealthy {
+			t.Fatalf("shard %s is %v after torn bodies, want healthy", s.Name(), s.State())
+		}
 	}
 	payload, _, _, err := h.cluster.Result(st.ID)
 	if err != nil || payload == nil {

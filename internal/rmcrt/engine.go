@@ -76,41 +76,16 @@ type solveStats struct {
 	tiles   int // tiles the region decomposed into
 }
 
-// cancelCheckEvery is how many cells each worker solves between context
-// polls. A cell costs NRays full ray marches, so even a small stride
-// bounds cancellation latency to well under a second while keeping the
-// poll off the per-ray hot path.
-const cancelCheckEvery = 16
-
 // ceilDiv returns ⌈a/b⌉ for positive b.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// tileKernel is one worker's tracing strategy: solveTile computes divQ
-// for every flow cell of [lo,hi) into out, polling poll between bounded
-// amounts of work and returning false the moment it reports
-// cancellation. A kernel is worker-private (built per goroutine) and is
-// reused across all tiles that worker claims.
-type tileKernel interface {
-	solveTile(lo, hi grid.IntVector, out *field.CC[float64], poll func() bool) bool
-}
-
-// newKernel picks the tracing strategy for opts: the wavefront-batched
-// marcher by default, or the scalar per-cell path when trace-time RNG
-// draws (scattering) make pre-generated ray batches impossible — and
-// for benchmarks that pin the scalar baseline.
-func (d *Domain) newKernel(opts *Options, cnt *traceCounters) tileKernel {
-	if opts.ScatterCoeff > 0 || opts.testForceScalar {
-		return newScalarKernel(d, opts, cnt)
-	}
-	return newBatchKernel(d, opts, cnt)
-}
-
-// solveRegionTiled runs the tile-scheduled solve. On cancellation it
+// solveRegionTiled runs the tile-scheduled solve, gray or (sh non-nil)
+// fused spectral. On cancellation it
 // returns a guaranteed non-nil error: ctx.Err() when it is already
 // visible, context.Canceled otherwise (a worker can observe the Done
 // channel close before the caller's ctx.Err() becomes non-nil — the
 // seed engine returned (nil, nil) in that window).
-func (d *Domain) solveRegionTiled(ctx context.Context, region grid.Box, opts *Options) (*field.CC[float64], solveStats, error) {
+func (d *Domain) solveRegionTiled(ctx context.Context, region grid.Box, opts *Options, sh *spectralShared) (*field.CC[float64], solveStats, error) {
 	var stats solveStats
 	if err := opts.validate(); err != nil {
 		return nil, stats, err
@@ -126,10 +101,7 @@ func (d *Domain) solveRegionTiled(ctx context.Context, region grid.Box, opts *Op
 		return nil, stats, fmt.Errorf("rmcrt: region %v outside finest ROI %v", region, ld.ROI)
 	}
 	out := field.NewCC[float64](region)
-	err := d.runTiles(ctx, region, opts, out, &stats, func(cnt *traceCounters) tileKernel {
-		return d.newKernel(opts, cnt)
-	})
-	if err != nil {
+	if err := d.runTiles(ctx, region, opts, sh, out, &stats); err != nil {
 		return nil, stats, err
 	}
 	return out, stats, nil
@@ -137,9 +109,9 @@ func (d *Domain) solveRegionTiled(ctx context.Context, region grid.Box, opts *Op
 
 // runTiles decomposes region into cubic tiles and feeds them to
 // GOMAXPROCS workers through an atomic tile cursor; each worker builds
-// its own kernel via newKern and merges its private counters into the
+// its own walker and merges the walker's private counters into the
 // Domain once per tile. Inputs are assumed validated.
-func (d *Domain) runTiles(ctx context.Context, region grid.Box, opts *Options, out *field.CC[float64], stats *solveStats, newKern func(*traceCounters) tileKernel) error {
+func (d *Domain) runTiles(ctx context.Context, region grid.Box, opts *Options, sh *spectralShared, out *field.CC[float64], stats *solveStats) error {
 	tile := opts.tileSize()
 	ext := region.Extent()
 	tx := ceilDiv(ext.X, tile)
@@ -166,11 +138,10 @@ func (d *Domain) runTiles(ctx context.Context, region grid.Box, opts *Options, o
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var cnt traceCounters
+			wk := newWalker(d, opts, sh)
 			// A cancelled worker still merges its partial tallies, so
 			// Steps/Rays stay an honest account of work performed.
-			defer cnt.flushTo(d)
-			kern := newKern(&cnt)
+			defer wk.cnt.flushTo(d)
 			poll := func() bool {
 				select {
 				case <-done:
@@ -199,10 +170,10 @@ func (d *Domain) runTiles(ctx context.Context, region grid.Box, opts *Options, o
 				if timed {
 					start = time.Now()
 				}
-				if !kern.solveTile(lo, hi, out, poll) {
+				if !wk.solveTile(lo, hi, out, poll) {
 					return
 				}
-				cnt.flushTo(d)
+				wk.cnt.flushTo(d)
 				if m := d.Metrics; m != nil {
 					m.Tiles.Inc()
 					m.TileSeconds.Observe(time.Since(start).Seconds())

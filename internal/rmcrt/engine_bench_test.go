@@ -109,11 +109,11 @@ func BenchmarkMultiLevelWalk(b *testing.B) {
 }
 
 // BenchmarkPackedDDA marches the same fixed diagonal ray with the
-// packed stride-incremental march (fused per-cell records, one integer
-// add per step) vs the frozen seed march (three separate field lookups
-// recomputing the flat offset from the cell coordinate every step) —
-// the pure per-step cost of the fused record layout. perfgate guards
-// the unpacked/packed ratio in-run.
+// walker (fused per-cell records, one integer add per step) vs the
+// frozen seed march (three separate field lookups recomputing the flat
+// offset from the cell coordinate every step) — the pure per-step cost
+// of the walker over the seed. perfgate guards the unpacked/packed
+// ratio in-run.
 func BenchmarkPackedDDA(b *testing.B) {
 	d, _, err := NewBenchmarkDomain(32)
 	if err != nil {
@@ -125,16 +125,15 @@ func BenchmarkPackedDDA(b *testing.B) {
 
 	b.Run("layout=packed", func(b *testing.B) {
 		b.ReportAllocs()
-		tc := newTraceCtx(&opts)
-		var cnt traceCounters
+		w := newWalker(d, &opts, nil)
 		b.ResetTimer()
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			sink += d.traceRay(origin, dir, nil, &tc, &cnt)
+			sink += w.trace(origin, dir, nil)
 		}
 		_ = sink
-		if cnt.steps > 0 {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cnt.steps), "ns/step")
+		if w.cnt.steps > 0 {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(w.cnt.steps), "ns/step")
 		}
 	})
 	b.Run("layout=unpacked", func(b *testing.B) {
@@ -177,13 +176,12 @@ func BenchmarkCounterContention(b *testing.B) {
 	})
 	b.Run("perTileMerge", func(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
-			tc := newTraceCtx(&opts)
-			var cnt traceCounters
+			w := newWalker(d, &opts, nil)
 			var sink float64
 			for pb.Next() {
-				sink += d.traceRay(origin, dir, nil, &tc, &cnt)
+				sink += w.trace(origin, dir, nil)
 			}
-			cnt.flushTo(d)
+			w.cnt.flushTo(d)
 			_ = sink
 		})
 	})

@@ -24,42 +24,51 @@ func assertBitwiseEqual(t *testing.T, box grid.Box, a, b *field.CC[float64], lab
 }
 
 // TestTileEngineBitwiseVsSeed proves the tentpole's correctness claim:
-// the tile-scheduled engine reproduces the frozen seed engine's divQ
-// bit for bit, on the single-level benchmark, under varied options.
+// the tile-scheduled walker reproduces the frozen seed engine's divQ
+// bit for bit, under varied options, at GOMAXPROCS 1, 4 and 16.
 func TestTileEngineBitwiseVsSeed(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		mod  func(o *Options)
+		name   string
+		levels int
+		mod    func(o *Options)
 	}{
-		{"default", func(o *Options) {}},
-		{"stratified", func(o *Options) { o.Stratified = true }},
-		{"greyWallsReflecting", func(o *Options) {
+		{"default", 1, func(o *Options) {}},
+		{"stratified", 1, func(o *Options) { o.Stratified = true }},
+		{"greyWallsReflecting", 1, func(o *Options) {
 			o.WallEmissivity = 0.7
 			o.WallSigmaT4 = 0.4
 			o.Reflections = true
 		}},
-		{"scattering", func(o *Options) { o.ScatterCoeff = 0.5 }},
-		{"tile3", func(o *Options) { o.TileSize = 3 }},
+		{"scattering", 1, func(o *Options) { o.ScatterCoeff = 0.5 }},
+		{"tile3", 1, func(o *Options) { o.TileSize = 3 }},
+		{"multiLevelScattering", 2, func(o *Options) { o.ScatterCoeff = 0.5 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, _, err := NewBenchmarkDomain(12)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := DefaultOptions()
-			opts.NRays = 6
-			tc.mod(&opts)
-			region := d.finest().ROI
-
-			want, err := seedSolveRegion(d, region, &opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := d.SolveRegion(region, &opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitwiseEqual(t, region, want, got, "tile vs seed")
+			atEachGOMAXPROCS(t, func(t *testing.T) {
+				var d *Domain
+				var region grid.Box
+				if tc.levels == 1 {
+					var err error
+					if d, _, err = NewBenchmarkDomain(12); err != nil {
+						t.Fatal(err)
+					}
+					region = d.finest().ROI
+				} else {
+					g, mk, err := NewMultiLevelBenchmark(16, 8, 2, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p := g.Levels[1].Patches[0]
+					if d, err = mk(p); err != nil {
+						t.Fatal(err)
+					}
+					region = p.Cells
+				}
+				opts := DefaultOptions()
+				opts.NRays = 6
+				tc.mod(&opts)
+				solveSeedBitwise(t, d, region, opts, "tile vs seed")
+			})
 		})
 	}
 }
@@ -141,7 +150,7 @@ func TestThinRegionParallelism(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	runtime.GOMAXPROCS(1)
-	serial, st1, err := d.solveRegionTiled(context.Background(), region, &opts)
+	serial, st1, err := d.solveRegionTiled(context.Background(), region, &opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +159,7 @@ func TestThinRegionParallelism(t *testing.T) {
 	}
 
 	runtime.GOMAXPROCS(4)
-	par, st4, err := d.solveRegionTiled(context.Background(), region, &opts)
+	par, st4, err := d.solveRegionTiled(context.Background(), region, &opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +257,7 @@ func TestTraceMetricsFamily(t *testing.T) {
 	opts.TileSize = 6
 
 	region := d.finest().ROI
-	out, stats, err := d.solveRegionTiled(context.Background(), region, &opts)
+	out, stats, err := d.solveRegionTiled(context.Background(), region, &opts, nil)
 	if err != nil || out == nil {
 		t.Fatalf("solve failed: %v", err)
 	}

@@ -87,16 +87,6 @@ type Options struct {
 	// (default NRays). Cost models price adaptive solves at this upper
 	// bound so scheduling stays feasibility-safe.
 	AdaptiveMaxRays int
-
-	// testPassSteps, when positive, forces the wavefront marcher's
-	// per-pass step budget — a test-only knob for exercising pass/
-	// compaction edge cases (e.g. 1 forces a compaction sweep after
-	// every step). Zero selects the production budget.
-	testPassSteps int
-	// testForceScalar forces the per-cell scalar trace path even when
-	// the batched marcher is eligible — the benchmark/test baseline for
-	// batched-vs-scalar comparisons.
-	testForceScalar bool
 }
 
 // DefaultOptions mirrors the paper's benchmark configuration: 100 rays

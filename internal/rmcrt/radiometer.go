@@ -85,9 +85,8 @@ func (d *Domain) SolveRadiometerCtx(ctx context.Context, r Radiometer, opts *Opt
 	// cell's rays.
 	rng := mathutil.NewStream(opts.Seed, radiometerStreamID(r))
 	cosH := math.Cos(r.HalfAngle)
-	tc := newTraceCtx(opts)
-	var cnt traceCounters
-	defer cnt.flushTo(d)
+	w := newWalker(d, opts, nil)
+	defer w.cnt.flushTo(d)
 
 	done := ctx.Done()
 	var sumI, sumCos float64
@@ -103,7 +102,7 @@ func (d *Domain) SolveRadiometerCtx(ctx context.Context, r Radiometer, opts *Opt
 		phi := 2 * math.Pi * rng.Float64()
 		local := mathutil.Vec3{X: sinT * math.Cos(phi), Y: sinT * math.Sin(phi), Z: cosT}
 		dir := rotateTo(local, r.Dir)
-		I := d.traceRay(r.Pos, dir, rng, &tc, &cnt)
+		I := w.trace(r.Pos, dir, rng)
 		sumI += I
 		sumCos += I * cosT
 	}

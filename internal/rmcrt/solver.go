@@ -9,68 +9,16 @@ import (
 	"github.com/uintah-repro/rmcrt/internal/mathutil"
 )
 
-// frac returns the fractional part of x in [0,1).
-func frac(x float64) float64 { return x - math.Floor(x) }
-
-// SolveCell traces opts.NRays rays from cell c on the finest level and
-// returns the cell's divergence of the heat flux:
+// SolveCell traces the rays of cell c on the finest level — opts.NRays,
+// or an adaptive budget when AdaptiveRelTol is set, exactly as
+// SolveRegion does — and returns the cell's divergence of the heat flux:
 //
 //	divQ(c) = 4π κ(c) (σT⁴(c)/π − mean sumI)
 func (d *Domain) SolveCell(c grid.IntVector, opts *Options) float64 {
-	tc := newTraceCtx(opts)
-	var cnt traceCounters
-	divQ := d.solveCell(c, &tc, &cnt)
-	cnt.flushTo(d)
+	w := newWalker(d, opts, nil)
+	divQ := w.solveCell(c)
+	w.cnt.flushTo(d)
 	return divQ
-}
-
-// solveCell is the engine-internal form of SolveCell: trace invariants
-// come precomputed in tc and ray/step tallies land in the worker-private
-// cnt (flushed by the caller once per tile, not per cell).
-func (d *Domain) solveCell(c grid.IntVector, tc *traceCtx, cnt *traceCounters) float64 {
-	ld := d.finest()
-	opts := tc.opts
-	rng := &tc.rng
-	rng.SeedStream(opts.Seed, cellStreamID(c))
-	lvl := ld.Level
-	dx := lvl.CellSize()
-	lo := lvl.CellLo(c)
-
-	// Cranley–Patterson rotation offsets for stratified (randomized
-	// quasi-Monte Carlo) direction sampling.
-	var shift1, shift2 float64
-	if opts.Stratified {
-		shift1, shift2 = rng.Float64(), rng.Float64()
-	}
-
-	sum := 0.0
-	for r := 0; r < opts.NRays; r++ {
-		var origin mathutil.Vec3
-		if opts.CellCenteredRays {
-			origin = lvl.CellCenter(c)
-		} else {
-			origin = mathutil.Vec3{
-				X: lo.X + rng.Float64()*dx.X,
-				Y: lo.Y + rng.Float64()*dx.Y,
-				Z: lo.Z + rng.Float64()*dx.Z,
-			}
-		}
-		var dir mathutil.Vec3
-		if opts.Stratified {
-			u1 := frac(mathutil.Halton(r, 2) + shift1)
-			u2 := frac(mathutil.Halton(r, 3) + shift2)
-			cosTheta := 2*u1 - 1
-			sinTheta := math.Sqrt(1 - cosTheta*cosTheta)
-			phi := 2 * math.Pi * u2
-			dir = mathutil.Vec3{X: sinTheta * math.Cos(phi), Y: sinTheta * math.Sin(phi), Z: cosTheta}
-		} else {
-			dir = rng.UnitSphere()
-		}
-		sum += d.traceRay(origin, dir, rng, tc, cnt)
-	}
-	meanI := sum / float64(opts.NRays)
-	kappa := ld.Abskg.At(c)
-	return 4 * math.Pi * kappa * (ld.SigmaT4OverPi.At(c) - meanI)
 }
 
 // SolveRegion computes divQ for every flow cell in region (finest-level
@@ -85,7 +33,7 @@ func (d *Domain) SolveRegion(region grid.Box, opts *Options) (*field.CC[float64]
 // poll ctx between cells and the call returns a non-nil error promptly
 // once the context is cancelled, discarding partial results.
 func (d *Domain) SolveRegionCtx(ctx context.Context, region grid.Box, opts *Options) (*field.CC[float64], error) {
-	out, _, err := d.solveRegionTiled(ctx, region, opts)
+	out, _, err := d.solveRegionTiled(ctx, region, opts, nil)
 	return out, err
 }
 
@@ -166,9 +114,8 @@ func (d *Domain) SolveWallFluxCtx(ctx context.Context, face WallFace, opts *Opti
 	// tracer used uint64(face)+0xface, which collides with the cell
 	// stream of (−2²⁰, −2²⁰, face+0xface−2²⁰) — see streams.go.
 	rng := mathutil.NewStream(opts.Seed, wallFaceStreamID(face))
-	tc := newTraceCtx(opts)
-	var cnt traceCounters
-	defer cnt.flushTo(d)
+	w := newWalker(d, opts, nil)
+	defer w.cnt.flushTo(d)
 	done := ctx.Done()
 	sum := 0.0
 	for r := 0; r < opts.NRays; r++ {
@@ -177,8 +124,7 @@ func (d *Domain) SolveWallFluxCtx(ctx context.Context, face WallFace, opts *Opti
 			return 0, ctxErr(ctx)
 		default:
 		}
-		dir := rng.CosineHemisphere(n)
-		sum += d.traceRay(p, dir, rng, &tc, &cnt)
+		sum += w.trace(p, rng.CosineHemisphere(n), rng)
 	}
 	return math.Pi * sum / float64(opts.NRays), nil
 }

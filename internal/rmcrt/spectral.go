@@ -124,19 +124,83 @@ func (s *SpectralDomain) bandView(k int) *Domain {
 // SolveRegionSpectral computes the band-summed divergence of the heat
 // flux over region: the wavelength loop of the paper's future work.
 // Wall emission in each band is scaled by the same emissive fraction
-// (gray walls). The default path marches all K bands through the
-// wavefront batch over shared ray geometry (spectral_batch.go); with
-// scattering the bands are solved independently on band-offset
-// streams. Either way results are deterministic for a given seed.
+// (gray walls). Without scattering all K bands march fused over shared
+// ray geometry; with scattering the bands are solved independently on
+// band-offset streams. Either way results are deterministic for a
+// given seed.
 func (s *SpectralDomain) SolveRegionSpectral(region grid.Box, opts *Options) (*field.CC[float64], error) {
 	return s.SolveRegionSpectralCtx(context.Background(), region, opts)
 }
 
-// solveSpectralBands is the independent-band fallback: one gray solve
-// per band on a band-offset stream, summed. It supports trace-time RNG
-// draws (scattering), which the fused batch path cannot reproduce.
-// Inputs are assumed validated; ctx is checked between band solves and
-// inside each one.
+// SolveRegionSpectralCtx is the ctx-aware K-band spectral solve. By
+// default it marches every band in one walk per ray (one DDA march
+// regardless of K): each ray's origin and direction are the draws a gray
+// solve makes (correlated sampling; each band's estimator is unbiased,
+// and with one band the result is bitwise identical to the gray solve).
+// Scattering redirects rays per band, so it solves the bands one by one
+// instead (solveSpectralBands). Adaptive ray budgets are not supported
+// with spectral solves. Cancellation follows the SolveRegionCtx
+// contract: prompt stop, guaranteed non-nil error, partial counters
+// merged.
+func (s *SpectralDomain) SolveRegionSpectralCtx(ctx context.Context, region grid.Box, opts *Options) (*field.CC[float64], error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	if opts.adaptiveEnabled() {
+		return nil, errOpt("adaptive ray budgets are not supported with spectral solves")
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if opts.ScatterCoeff > 0 {
+		return s.solveSpectralBands(ctx, region, opts)
+	}
+	out, _, err := s.Base.solveRegionTiled(ctx, region, opts, s.spectralShared(opts))
+	return out, err
+}
+
+// spectralShared is the read-only band context of a fused solve, shared
+// by all workers: the per-band constants and per-band absorption arrays
+// indexed exactly like each level's packed records.
+type spectralShared struct {
+	bands []band        // w, wallI and finest-level κ per band
+	kap   [][][]float64 // kap[level][band][flat packed index]
+}
+
+// spectralShared builds the band context. Entries outside a level's ROI
+// stay zero — the march reads them only through the in-ROI gate.
+func (s *SpectralDomain) spectralShared(opts *Options) *spectralShared {
+	d := s.Base
+	pd := d.ensurePacked()
+	sh := &spectralShared{kap: make([][][]float64, len(d.Levels))}
+	for k, b := range s.LevelBands[0] {
+		w := b.EmissiveFraction
+		sh.bands = append(sh.bands, band{
+			w:     w,
+			wallI: opts.WallEmissivity * (w * opts.WallSigmaT4) / math.Pi,
+			abskg: s.LevelBands[len(d.Levels)-1][k].Abskg,
+		})
+	}
+	for li := range d.Levels {
+		pl := pd.levels[li]
+		for _, b := range s.LevelBands[li] {
+			arr := make([]float64, len(pl.recs))
+			d.Levels[li].ROI.ForEach(func(c grid.IntVector) {
+				arr[pl.OffsetOf(c)] = b.Abskg.At(c)
+			})
+			sh.kap[li] = append(sh.kap[li], arr)
+		}
+	}
+	return sh
+}
+
+// solveSpectralBands is the independent-band path: one gray solve per
+// band on a band-offset stream, summed. It serves scattering, whose
+// redirects differ per band. Inputs are assumed validated; ctx is
+// checked between band solves and inside each one.
 func (s *SpectralDomain) solveSpectralBands(ctx context.Context, region grid.Box, opts *Options) (*field.CC[float64], error) {
 	total := field.NewCC[float64](region)
 	for k := range s.LevelBands[0] {

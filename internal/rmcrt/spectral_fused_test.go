@@ -53,7 +53,7 @@ func TestSpectralHalfBandsEqualGray(t *testing.T) {
 
 func TestSpectralHalfBandsEqualGrayMultiLevel(t *testing.T) {
 	// Same exact-halving identity across a level drop, with reflections
-	// exercising the per-band attenuate path in laneTailSpectral.
+	// exercising the per-band attenuate path of the cold tail.
 	g, mk, err := NewMultiLevelBenchmark(16, 8, 4, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -204,178 +204,9 @@ func (st *marchState) nextAxis() int {
 // coarser levels outside, and terminates at opaque cells, at the domain
 // boundary, or when the transmittance falls below opts.Threshold.
 func (d *Domain) TraceRay(origin, dir mathutil.Vec3, rng *mathutil.RNG, opts *Options) float64 {
-	tc := newTraceCtx(opts)
-	var cnt traceCounters
-	sumI := d.traceRay(origin, dir, rng, &tc, &cnt)
-	cnt.flushTo(d)
-	return sumI
-}
-
-// traceRay is the hot path: identical physics to the public TraceRay,
-// but with the per-solve invariants read from tc and the ray/step
-// tallies accumulated into the worker-private cnt — zero shared atomics
-// inside the march loop.
-//
-// Properties are read from the packed per-level tables (packed.go)
-// through a flat-index cursor: one stride add and one 24-byte record
-// load per DDA step, instead of three 3-D offset computations on three
-// separate arrays. The record values are bit-copies of the level
-// fields and the arithmetic order is unchanged, so the result stays
-// bitwise identical to the seed engine.
-func (d *Domain) traceRay(origin, dir mathutil.Vec3, rng *mathutil.RNG, tc *traceCtx, cnt *traceCounters) float64 {
-	cnt.rays++
-	pd := d.ensurePacked()
-	li := len(d.Levels) - 1
-	ld := &d.Levels[li]
-	pl := pd.levels[li]
-	cell := ld.Level.CellContaining(origin)
-	st := initMarch(ld.Level, cell, origin, dir, 0)
-	cur := pl.cursor(&st)
-
-	sumI := 0.0
-	tau := 0.0   // accumulated optical thickness
-	trans := 1.0 // e^{-tau}
-	tCur := 0.0  // distance travelled along the ray
-
-	scatterT := math.Inf(1)
-	if tc.scatterCoeff > 0 && rng != nil {
-		scatterT = sampleScatterDistance(rng, tc.scatterCoeff)
-	}
-	reflections := 0
-
-	for step := 0; step < tc.maxSteps; step++ {
-		ax := st.nextAxis()
-		tNext := st.tMax.Component(ax)
-		ds := tNext - tCur
-		if ds < 0 {
-			ds = 0
-		}
-
-		// Isotropic scattering event inside this cell: accumulate the
-		// partial segment, redirect the ray, and continue from the
-		// scatter point with a fresh march.
-		if tCur+ds > scatterT && !math.IsInf(scatterT, 1) {
-			cnt.steps++
-			dsScat := scatterT - tCur
-			rec := &pl.recs[cur.idx]
-			tauNew := tau + rec.Abskg*dsScat
-			transNew := math.Exp(-tauNew)
-			sumI += rec.SigmaT4OverPi * (trans - transNew)
-			tau, trans = tauNew, transNew
-
-			p := origin.Add(dir.Scale(scatterT))
-			dir = rng.UnitSphere()
-			origin = p
-			tCur = 0
-			st = initMarch(ld.Level, st.cell, origin, dir, 0)
-			cur = pl.cursor(&st)
-			// One scattering generation keeps variance bounded; the
-			// benchmark runs with scattering off.
-			scatterT = math.Inf(1)
-			continue
-		}
-
-		// Accumulate this cell's emission over the segment:
-		// sumI += I_b(cell) * (e^{-τ_prev} - e^{-τ}).
-		cnt.steps++
-		rec := &pl.recs[cur.idx]
-		tauNew := tau + rec.Abskg*ds
-		transNew := math.Exp(-tauNew)
-		sumI += rec.SigmaT4OverPi * (trans - transNew)
-		tau, trans = tauNew, transNew
-
-		if trans < tc.threshold {
-			return sumI // extinction
-		}
-
-		// Move into the next cell: one stride add advances the flat
-		// record index alongside the DDA state.
-		tCur = tNext
-		st.cell = st.cell.WithComponent(ax, st.cell.Component(ax)+st.step.Component(ax))
-		st.tMax = st.tMax.WithComponent(ax, st.tMax.Component(ax)+st.tDelta.Component(ax))
-		cur.idx += cur.d[ax]
-
-		// Left this level's region of interest?
-		dropped := false
-		if !ld.ROI.Contains(st.cell) {
-			if li == 0 {
-				// Leaving the coarsest level means leaving the domain:
-				// the ray hits the enclosure wall.
-				sumI += tc.wallIntensity * trans
-				if !tc.reflections || tc.wallEmissivity >= 1 ||
-					reflections >= tc.maxReflections {
-					return sumI
-				}
-				// Specular reflection: the surviving (1−ε) weight
-				// continues back into the domain. The weight is folded
-				// into the optical depth so later segments (which
-				// recompute trans from tau) keep it.
-				trans *= 1 - tc.wallEmissivity
-				tau -= math.Log(1 - tc.wallEmissivity)
-				if trans < tc.threshold {
-					return sumI
-				}
-				reflections++
-				inside := st.cell.WithComponent(ax, st.cell.Component(ax)-st.step.Component(ax))
-				p := origin.Add(dir.Scale(tCur))
-				dir = dir.WithComponent(ax, -dir.Component(ax))
-				origin, tCur = p, 0
-				st = initMarch(ld.Level, inside, origin, dir, 0)
-				cur = pl.cursor(&st)
-				continue
-			}
-			// Drop to the next coarser level at the current position,
-			// nudged slightly forward so face-exact points land in the
-			// cell ahead of the crossing.
-			li--
-			ld = &d.Levels[li]
-			pl = pd.levels[li]
-			eps := 1e-9 * ld.Level.CellSize().MinComponent()
-			p := origin.Add(dir.Scale(tCur + eps))
-			ncell := ld.Level.CellContaining(p)
-			st = initMarch(ld.Level, ncell, p, dir, tCur)
-			cur = pl.cursor(&st)
-			dropped = true
-		}
-
-		// Opaque cell: the ray picks up the surface's emission and
-		// either terminates (black or reflections off) or reflects
-		// specularly about the crossed face.
-		if rec := &pl.recs[cur.idx]; rec.Flags != 0 {
-			sumI += tc.wallEmissivity * rec.SigmaT4OverPi * trans
-			if !tc.reflections || tc.wallEmissivity >= 1 ||
-				reflections >= tc.maxReflections {
-				return sumI
-			}
-			trans *= 1 - tc.wallEmissivity
-			tau -= math.Log(1 - tc.wallEmissivity)
-			if trans < tc.threshold {
-				return sumI
-			}
-			reflections++
-			// The reflected face is perpendicular to ax even after a
-			// level drop: a drop happens when the ray crosses the fine
-			// ROI face on axis ax, and that crossing is what exposed
-			// this opaque coarse cell. The restart cell, however, is
-			// only "one cell back along ax" when the ray actually
-			// entered through a face of this cell. After a drop onto a
-			// coarse cell that the fine ROI face straddles, the hit
-			// point lies strictly inside the opaque cell; stepping a
-			// whole coarse cell back would teleport the march into a
-			// cell that does not contain it. Reflect in place instead:
-			// the ray re-traverses the remaining thickness of the wall
-			// material it is inside.
-			inside := st.cell.WithComponent(ax, st.cell.Component(ax)-st.step.Component(ax))
-			p := origin.Add(dir.Scale(tCur))
-			if dropped && !enteredThroughFace(ld.Level, st.cell, ax, st.step.Component(ax), p) {
-				inside = st.cell
-			}
-			dir = dir.WithComponent(ax, -dir.Component(ax))
-			origin, tCur = p, 0
-			st = initMarch(ld.Level, inside, origin, dir, 0)
-			cur = pl.cursor(&st)
-		}
-	}
+	w := newWalker(d, opts, nil)
+	sumI := w.trace(origin, dir, rng)
+	w.cnt.flushTo(d)
 	return sumI
 }
 

@@ -7,48 +7,32 @@ import (
 	"github.com/uintah-repro/rmcrt/internal/grid"
 )
 
-// BenchmarkBatchedMarch is the wavefront-batching gate: the same full
-// 32³ Burns & Christon solve through the batched SoA marcher (the
-// default engine path) vs the scalar per-cell path (testForceScalar),
-// both reporting ns/step. The two modes trace bitwise-identical rays,
-// so the ns/op ratio IS the ns/step ratio; perfgate guards
-// scalar/batched staying above the batched ≤ 0.85× scalar bar.
-func BenchmarkBatchedMarch(b *testing.B) {
+// BenchmarkMarch is the march gate: a full 32³ Burns & Christon solve
+// through the ray walker, reporting ns/step. perfgate holds it to its
+// recorded baseline (first recorded for the wavefront-batched kernel the
+// walker replaced, on the same configuration).
+func BenchmarkMarch(b *testing.B) {
 	d, _, err := NewBenchmarkDomain(32)
 	if err != nil {
 		b.Fatal(err)
 	}
 	region := d.finest().ROI
-
 	// March-dominated configuration: the tighter extinction threshold
-	// lengthens rays ~1.5× over the default, so the ns/step metric
-	// measures steady-state march cost rather than per-ray RNG setup
-	// (which both modes share identically).
+	// lengthens rays ~1.5× over the default, so ns/step measures
+	// steady-state march cost rather than per-ray RNG setup.
 	opts := benchSolveOpts()
 	opts.Threshold = 1e-6
-
-	run := func(b *testing.B, opts Options) {
-		b.ReportAllocs()
-		start := d.Steps.Load()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := d.SolveRegion(region, &opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if steps := d.Steps.Load() - start; steps > 0 {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	b.ReportAllocs()
+	start := d.Steps.Load()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.SolveRegion(region, &opts); err != nil {
+			b.Fatal(err)
 		}
 	}
-
-	b.Run("mode=batched", func(b *testing.B) {
-		run(b, opts)
-	})
-	b.Run("mode=scalar", func(b *testing.B) {
-		opts := opts
-		opts.testForceScalar = true
-		run(b, opts)
-	})
+	if steps := d.Steps.Load() - start; steps > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+	}
 }
 
 // BenchmarkAdaptiveSolve measures the adaptive ray-budget mode on the

@@ -12,27 +12,28 @@ import (
 	"github.com/uintah-repro/rmcrt/internal/grid"
 )
 
-// The batched wavefront marcher's edge cases: batches that drain in the
-// first pass, batches compacted down to a single surviving lane, tiles
-// with no flow cells at all, and adaptive top-up waves racing prompt
-// cancellation. Each case is checked bitwise against the scalar kernel
-// (testForceScalar) at GOMAXPROCS 1, 4 and 16 — run under -race in CI.
+// Seed-bitwise edge cases of the ray walker: domains whose every ray
+// ends in its first few steps, single-ray cells in single-cell tiles,
+// tiles with no flow cells at all, and adaptive top-up waves racing
+// prompt cancellation. (The TestBatch* names date from the wavefront
+// kernel these cases were written against.) Each fixed-budget case is
+// checked bitwise against the frozen seed engine at GOMAXPROCS 1, 4 and
+// 16 — run under -race in CI.
 
-// solveBatchedAndScalar solves the same region twice — batched and
-// forced-scalar — and asserts bitwise identity.
-func solveBatchedAndScalar(t *testing.T, d *Domain, region grid.Box, opts Options, label string) *field.CC[float64] {
+// solveSeedBitwise solves region with the walker and with the frozen
+// seed engine and asserts bitwise identity.
+func solveSeedBitwise(t *testing.T, d *Domain, region grid.Box, opts Options, label string) *field.CC[float64] {
 	t.Helper()
-	batched, err := d.SolveRegion(region, &opts)
+	got, err := d.SolveRegion(region, &opts)
 	if err != nil {
-		t.Fatalf("%s: batched solve: %v", label, err)
+		t.Fatalf("%s: solve: %v", label, err)
 	}
-	opts.testForceScalar = true
-	scalar, err := d.SolveRegion(region, &opts)
+	want, err := seedSolveRegion(d, region, &opts)
 	if err != nil {
-		t.Fatalf("%s: scalar solve: %v", label, err)
+		t.Fatalf("%s: seed solve: %v", label, err)
 	}
-	assertBitwiseEqual(t, region, batched, scalar, label)
-	return batched
+	assertBitwiseEqual(t, region, want, got, label)
+	return got
 }
 
 // atEachGOMAXPROCS runs f at GOMAXPROCS 1, 4 and 16.
@@ -60,10 +61,8 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
-// TestBatchAllTerminateFirstPass: a pass budget far above the longest
-// possible path makes every lane terminate in its first march burst, so
-// the compaction loop must drain the whole batch in one round without
-// ever parking a lane to the arena.
+// TestBatchAllTerminateFirstPass: a small 8³ domain where every ray
+// ends within a few steps.
 func TestBatchAllTerminateFirstPass(t *testing.T) {
 	atEachGOMAXPROCS(t, func(t *testing.T) {
 		d, _, err := NewBenchmarkDomain(8)
@@ -72,15 +71,12 @@ func TestBatchAllTerminateFirstPass(t *testing.T) {
 		}
 		opts := DefaultOptions()
 		opts.NRays = 6
-		opts.testPassSteps = 1 << 20
-		solveBatchedAndScalar(t, d, d.finest().ROI, opts, "all-terminate-pass-1")
+		solveSeedBitwise(t, d, d.finest().ROI, opts, "8^3")
 	})
 }
 
-// TestBatchSingleLaneCompaction: the two degenerate compaction shapes —
-// a batch of exactly one lane (NRays=1, TileSize=1), and a pass budget
-// of one step so every lane survives many rounds and the active list
-// compacts all the way down through a single survivor to empty.
+// TestBatchSingleLaneCompaction: the degenerate budgets — one ray per
+// cell in one-cell tiles, and an odd ray count.
 func TestBatchSingleLaneCompaction(t *testing.T) {
 	atEachGOMAXPROCS(t, func(t *testing.T) {
 		d, _, err := NewBenchmarkDomain(8)
@@ -90,19 +86,18 @@ func TestBatchSingleLaneCompaction(t *testing.T) {
 		opts := DefaultOptions()
 		opts.NRays = 1
 		opts.TileSize = 1
-		solveBatchedAndScalar(t, d, d.finest().ROI, opts, "single-lane")
+		solveSeedBitwise(t, d, d.finest().ROI, opts, "one ray, one-cell tiles")
 
 		opts = DefaultOptions()
 		opts.NRays = 5
-		opts.testPassSteps = 1 // maximum parking: one DDA step per pass
-		solveBatchedAndScalar(t, d, d.finest().ROI, opts, "one-step-passes")
+		solveSeedBitwise(t, d, d.finest().ROI, opts, "five rays")
 	})
 }
 
 // TestBatchOpaqueTile: an intrusion block aligned to the tile grid
-// leaves whole tiles with zero flow cells. collectFlow must skip them
-// (no lanes, no divQ writes) and the surrounding flow cells must still
-// match the scalar kernel bitwise; opaque cells keep divQ = 0.
+// leaves whole tiles with zero flow cells. They must get no divQ writes
+// and the surrounding flow cells must still match the seed engine
+// bitwise; opaque cells keep divQ = 0.
 func TestBatchOpaqueTile(t *testing.T) {
 	atEachGOMAXPROCS(t, func(t *testing.T) {
 		d, _, err := NewBenchmarkDomain(12)
@@ -119,7 +114,7 @@ func TestBatchOpaqueTile(t *testing.T) {
 		opts := DefaultOptions()
 		opts.NRays = 4
 		opts.TileSize = 4 // block covers exactly one whole tile
-		out := solveBatchedAndScalar(t, d, d.finest().ROI, opts, "opaque-tile")
+		out := solveSeedBitwise(t, d, d.finest().ROI, opts, "opaque-tile")
 		block.ForEach(func(c grid.IntVector) {
 			if v := out.At(c); v != 0 {
 				t.Fatalf("intrusion cell %v has divQ %v, want 0", c, v)
@@ -141,8 +136,7 @@ func TestBatchOpaqueTile(t *testing.T) {
 }
 
 // TestAdaptiveCancelDuringTopUps: cancellation arriving while the
-// adaptive wave loop is mid-flight — between top-up waves or march
-// passes — must abort the solve promptly with context.Canceled and
+// adaptive wave loop is mid-flight must abort the solve promptly with context.Canceled and
 // never return a partial field, at every worker count, under -race.
 // The tolerance is set unreachably tight so every cell runs the full
 // top-up ladder to the cap: uncancelled the solve takes seconds, so a
@@ -345,10 +339,11 @@ func TestAdaptiveErrorVsRays(t *testing.T) {
 	}
 }
 
-// TestAdaptiveScalarFallback: with scattering the adaptive mode runs in
-// the scalar kernel (trace-time RNG draws). It must remain bitwise
-// deterministic across worker counts and still save rays.
-func TestAdaptiveScalarFallback(t *testing.T) {
+// TestAdaptiveScatteringDeterministic: adaptive budgets with
+// scattering (trace-time RNG draws interleaved into the cell streams)
+// must remain bitwise deterministic across worker counts and still save
+// rays.
+func TestAdaptiveScatteringDeterministic(t *testing.T) {
 	d, _, err := NewBenchmarkDomain(8)
 	if err != nil {
 		t.Fatal(err)

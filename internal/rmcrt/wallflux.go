@@ -96,10 +96,9 @@ func (d *Domain) SolveWallFluxMapCtx(ctx context.Context, face WallFace, opts *O
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tc := newTraceCtx(opts)
-			var cnt traceCounters
-			defer cnt.flushTo(d)
-			rng := &tc.rng
+			wk := newWalker(d, opts, nil)
+			defer wk.cnt.flushTo(d)
+			rng := &wk.tc.rng
 			for u := w; u < fm.NU; u += nw {
 				for v := 0; v < fm.NV; v++ {
 					select {
@@ -122,7 +121,7 @@ func (d *Domain) SolveWallFluxMapCtx(ctx context.Context, face WallFace, opts *O
 							lvl.DomainLo.Component(a1)+(float64(u)+rng.Float64())*dx.Component(a1))
 						p = p.WithComponent(a2,
 							lvl.DomainLo.Component(a2)+(float64(v)+rng.Float64())*dx.Component(a2))
-						sum += d.traceRay(p, rng.CosineHemisphere(normal), rng, &tc, &cnt)
+						sum += wk.trace(p, rng.CosineHemisphere(normal), rng)
 					}
 					fm.Q[u*fm.NV+v] = math.Pi * sum / float64(opts.NRays)
 				}

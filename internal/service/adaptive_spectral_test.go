@@ -131,7 +131,7 @@ func TestAdaptiveJobReportsRaysSaved(t *testing.T) {
 }
 
 // TestSpectralJobSolves: a K-band spectral spec runs through the fused
-// batched marcher end to end; the synthetic κ ladder preserves the
+// K-band ray walk end to end; the synthetic κ ladder preserves the
 // Planck mean, so the banded divQ stays on the gray solution's scale
 // while differing from it (the non-gray window effect).
 func TestSpectralJobSolves(t *testing.T) {

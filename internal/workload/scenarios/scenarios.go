@@ -214,15 +214,15 @@ func init() {
 		}},
 	})
 
-	// spectral-bands: K-band non-gray solves through the fused batched
-	// marcher — bands ride as extra batch lanes over shared ray
-	// geometry, so a K-band job costs one DDA march (not K). The sweep
+	// spectral-bands: K-band non-gray solves through the fused K-band
+	// ray walk — all bands share one geometric cursor per ray, so a
+	// K-band job costs one DDA march (not K). The sweep
 	// cycles K across jobs; the wide κ ladder (spread 16) includes
 	// near-transparent window bands that a gray mean coefficient would
 	// hold in.
 	register(Scenario{
 		Name:        "spectral-bands",
-		Description: "K-band spectral solves via fused batch lanes (non-gray window effect)",
+		Description: "K-band spectral solves fused into one ray walk (non-gray window effect)",
 		Spec: workload.Spec{Clients: []workload.ClientSpec{
 			{
 				Name: "bands2", Jobs: 4, Class: service.ClassBatch, Mode: workload.ModeASAP, Inflight: 2,
