@@ -80,11 +80,11 @@ type solveStats struct {
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // solveRegionTiled runs the tile-scheduled solve, gray or (sh non-nil)
-// fused spectral. On cancellation it
-// returns a guaranteed non-nil error: ctx.Err() when it is already
-// visible, context.Canceled otherwise (a worker can observe the Done
-// channel close before the caller's ctx.Err() becomes non-nil — the
-// seed engine returned (nil, nil) in that window).
+// fused spectral. On cancellation it returns a guaranteed non-nil
+// error: ctx.Err() when it is already visible, context.Canceled
+// otherwise (a worker can observe the Done channel close before the
+// caller's ctx.Err() becomes non-nil — the seed engine returned
+// (nil, nil) in that window).
 func (d *Domain) solveRegionTiled(ctx context.Context, region grid.Box, opts *Options, sh *spectralShared) (*field.CC[float64], solveStats, error) {
 	var stats solveStats
 	if err := opts.validate(); err != nil {
@@ -114,13 +114,19 @@ func (d *Domain) solveRegionTiled(ctx context.Context, region grid.Box, opts *Op
 func (d *Domain) runTiles(ctx context.Context, region grid.Box, opts *Options, sh *spectralShared, out *field.CC[float64], stats *solveStats) error {
 	tile := opts.tileSize()
 	ext := region.Extent()
+	nw := runtime.GOMAXPROCS(0)
+	// Fewer default-size tiles than workers would leave cores idle (an
+	// 8³ region is one tile), so the default edge halves until every
+	// worker can claim a tile.
+	for opts.TileSize == 0 && tile > 1 && ceilDiv(ext.X, tile)*ceilDiv(ext.Y, tile)*ceilDiv(ext.Z, tile) < nw {
+		tile /= 2
+	}
 	tx := ceilDiv(ext.X, tile)
 	ty := ceilDiv(ext.Y, tile)
 	tz := ceilDiv(ext.Z, tile)
 	nTiles := tx * ty * tz
 	stats.tiles = nTiles
 
-	nw := runtime.GOMAXPROCS(0)
 	if nw > nTiles {
 		nw = nTiles
 	}

@@ -130,46 +130,43 @@ func TestBitwiseAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestThinRegionParallelism is the scheduling half of the tentpole: a
-// region one cell thick in X serialized under the seed x-slab engine;
-// the tile engine must still fan out, and the parallel result must be
-// bit-identical to the serial one.
+// region one cell thick in X serialized under the seed x-slab engine,
+// and a region of one default-size tile would serialize on a single
+// tile; the tile engine must still fan out both, and the parallel
+// result must be bit-identical to the serial one.
 func TestThinRegionParallelism(t *testing.T) {
-	// 1×64×64 = 4096 cells, Extent().X == 1.
 	d, _, err := NewBenchmarkDomain(64)
 	if err != nil {
 		t.Fatal(err)
-	}
-	region := grid.NewBox(grid.IV(0, 0, 0), grid.IV(1, 64, 64))
-	if region.Extent().X != 1 || region.Volume() < 4096 {
-		t.Fatalf("bad test region %v", region)
 	}
 	opts := DefaultOptions()
 	opts.NRays = 2
 
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
+	for _, region := range []grid.Box{
+		grid.NewBox(grid.IV(0, 0, 0), grid.IV(1, 64, 64)),  // 1×64×64, Extent().X == 1
+		grid.NewBox(grid.IV(8, 8, 8), grid.IV(16, 16, 16)), // one 8³ tile
+	} {
+		runtime.GOMAXPROCS(1)
+		serial, st1, err := d.solveRegionTiled(context.Background(), region, &opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st1.workers != 1 {
+			t.Fatalf("%v: GOMAXPROCS=1 used %d workers", region, st1.workers)
+		}
 
-	runtime.GOMAXPROCS(1)
-	serial, st1, err := d.solveRegionTiled(context.Background(), region, &opts, nil)
-	if err != nil {
-		t.Fatal(err)
+		runtime.GOMAXPROCS(4)
+		par, st4, err := d.solveRegionTiled(context.Background(), region, &opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st4.workers <= 1 || st4.tiles < 2 {
+			t.Fatalf("%v used %d workers over %d tiles at GOMAXPROCS=4; the region runs serial", region, st4.workers, st4.tiles)
+		}
+		assertBitwiseEqual(t, region, serial, par, "serial vs parallel")
 	}
-	if st1.workers != 1 {
-		t.Fatalf("GOMAXPROCS=1 used %d workers", st1.workers)
-	}
-
-	runtime.GOMAXPROCS(4)
-	par, st4, err := d.solveRegionTiled(context.Background(), region, &opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st4.workers <= 1 {
-		t.Fatalf("thin-in-X region used %d workers at GOMAXPROCS=4; the x-slab clamp is back", st4.workers)
-	}
-	if st4.tiles < 2 {
-		t.Fatalf("thin-in-X region decomposed into %d tiles", st4.tiles)
-	}
-	assertBitwiseEqual(t, region, serial, par, "thin region serial vs parallel")
 }
 
 // racyContext models the cancellation race the seed engine mishandled:

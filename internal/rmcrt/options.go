@@ -66,9 +66,10 @@ type Options struct {
 	// directions; 0 means a generous default.
 	MaxSteps int
 	// TileSize is the edge length of the cubic work tiles the region
-	// solver schedules across workers; 0 means the default (8). Results
-	// are bitwise independent of the tile size — it only shapes
-	// scheduling granularity.
+	// solver schedules across workers; 0 means the default (8, halved
+	// while the region has fewer tiles than workers). Results are
+	// bitwise independent of the tile size — it only shapes scheduling
+	// granularity.
 	TileSize int
 	// AdaptiveRelTol, when positive, enables adaptive per-cell ray
 	// budgets (ARC-style): each cell starts at AdaptiveMinRays rays and

@@ -56,15 +56,30 @@ type ray struct {
 	refl, left  int        // reflections so far, remaining step budget
 }
 
-// restart points r at the DDA state st on level li. The packed cursor
-// panics outside the table, like the seed tracer's field reads.
-func (r *ray) restart(pl *PackedLevel, li int, st *marchState) {
-	cur := pl.cursor(st)
-	r.cc = [4]int{st.cell.X, st.cell.Y, st.cell.Z}
-	r.ss = [4]int{st.step.X, st.step.Y, st.step.Z}
+// start points r, at position pos a distance tcur along the ray, at
+// cell of level li: initMarch's DDA arithmetic written per axis into
+// r's flat arrays, plus the packed cursor (which panics outside the
+// table, like the seed tracer's field reads).
+func (w *walker) start(r *ray, li int, cell grid.IntVector, pos mathutil.Vec3, tcur float64) {
+	lvl := w.d.Levels[li].Level
+	dx, lo := lvl.CellSize(), lvl.CellLo(cell)
+	dxs := [3]float64{dx.X, dx.Y, dx.Z}
+	los := [3]float64{lo.X, lo.Y, lo.Z}
+	ps := [3]float64{pos.X, pos.Y, pos.Z}
+	dcs := [3]float64{r.dir.X, r.dir.Y, r.dir.Z}
+	for ax := 0; ax < 3; ax++ {
+		switch dc := dcs[ax]; {
+		case dc > 0:
+			r.ss[ax], r.td[ax], r.tm[ax] = 1, dxs[ax]/dc, tcur+(los[ax]+dxs[ax]-ps[ax])/dc
+		case dc < 0:
+			r.ss[ax], r.td[ax], r.tm[ax] = -1, -dxs[ax]/dc, tcur+(los[ax]-ps[ax])/dc
+		default:
+			r.ss[ax], r.td[ax], r.tm[ax] = 0, math.Inf(1), math.Inf(1)
+		}
+	}
+	cur := w.pd.levels[li].cursor(&marchState{cell: cell, step: grid.IV(r.ss[0], r.ss[1], r.ss[2])})
+	r.cc = [4]int{cell.X, cell.Y, cell.Z}
 	r.dd = [4]int{cur.d[0], cur.d[1], cur.d[2]}
-	r.tm = [4]float64{st.tMax.X, st.tMax.Y, st.tMax.Z}
-	r.td = [4]float64{st.tDelta.X, st.tDelta.Y, st.tDelta.Z}
 	r.idx, r.li = cur.idx, li
 }
 
@@ -237,10 +252,9 @@ func frac(x float64) float64 { return x - math.Floor(x) }
 func (w *walker) trace(origin, dir mathutil.Vec3, rng *mathutil.RNG) float64 {
 	w.cnt.rays++
 	li := len(w.d.Levels) - 1
-	lvl := w.d.Levels[li].Level
-	st := initMarch(lvl, lvl.CellContaining(origin), origin, dir, 0)
-	r := ray{origin: origin, dir: dir, left: w.tc.maxSteps}
-	r.restart(w.pd.levels[li], li, &st)
+	var r ray
+	r.origin, r.dir, r.left = origin, dir, w.tc.maxSteps
+	w.start(&r, li, w.d.Levels[li].Level.CellContaining(origin), origin, 0)
 	for i := range w.bands {
 		b := &w.bands[i]
 		b.tau, b.trans, b.sum, b.frozen = 0, 1, 0, false
@@ -345,8 +359,7 @@ func (w *walker) marchGray(r *ray, rng *mathutil.RNG, scatterT float64) {
 			p := r.origin.Add(r.dir.Scale(scatterT))
 			r.dir = rng.UnitSphere()
 			r.origin, r.tcur = p, 0
-			st := initMarch(w.d.Levels[r.li].Level, grid.IV(cc[0], cc[1], cc[2]), p, r.dir, 0)
-			r.restart(w.pd.levels[r.li], r.li, &st)
+			w.start(r, r.li, grid.IV(cc[0], cc[1], cc[2]), p, 0)
 			scatterT = math.Inf(1)
 			continue
 		}
@@ -459,9 +472,9 @@ func (w *walker) tail(r *ray, ax int, inROI bool) bool {
 		lvl = w.d.Levels[r.li].Level
 		eps := 1e-9 * lvl.CellSize().MinComponent()
 		p := r.origin.Add(r.dir.Scale(r.tcur + eps))
-		st := initMarch(lvl, lvl.CellContaining(p), p, r.dir, r.tcur)
-		r.restart(w.pd.levels[r.li], r.li, &st)
-		cell, step, dropped = st.cell, st.step, true
+		cell = lvl.CellContaining(p)
+		w.start(r, r.li, cell, p, r.tcur)
+		step, dropped = grid.IV(r.ss[0], r.ss[1], r.ss[2]), true
 	}
 	if wall {
 		// Leaving the coarsest level means leaving the domain.
@@ -516,7 +529,6 @@ func (w *walker) tail(r *ray, ax int, inROI bool) bool {
 	}
 	r.dir = r.dir.WithComponent(ax, -r.dir.Component(ax))
 	r.origin, r.tcur = p, 0
-	st := initMarch(lvl, inside, r.origin, r.dir, 0)
-	r.restart(w.pd.levels[r.li], r.li, &st)
+	w.start(r, r.li, inside, r.origin, 0)
 	return false
 }
