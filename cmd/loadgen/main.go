@@ -175,7 +175,7 @@ func resolveTarget(o options) (url string, shutdown func(), err error) {
 	}
 	if o.inproc == 1 {
 		mgr := service.New(service.Config{Workers: o.workers, QueueDepth: o.queue})
-		srv := httptest.NewServer(service.NewHandler(mgr))
+		srv := httptest.NewServer(service.NewHandlerConfig(mgr, service.HandlerConfig{}))
 		return srv.URL, func() {
 			srv.Close()
 			_ = mgr.Close(closeCtx())
@@ -186,7 +186,7 @@ func resolveTarget(o options) (url string, shutdown func(), err error) {
 	var shardCfgs []cluster.ShardConfig
 	for i := 0; i < o.inproc; i++ {
 		mgr := service.New(service.Config{Workers: o.workers, QueueDepth: o.queue})
-		srv := httptest.NewServer(service.NewHandler(mgr))
+		srv := httptest.NewServer(service.NewHandlerConfig(mgr, service.HandlerConfig{}))
 		mgrs = append(mgrs, mgr)
 		srvs = append(srvs, srv)
 		shardCfgs = append(shardCfgs, cluster.ShardConfig{Name: fmt.Sprintf("shard%d", i), URL: srv.URL})
@@ -209,7 +209,7 @@ func resolveTarget(o options) (url string, shutdown func(), err error) {
 		}
 		return "", nil, err
 	}
-	router := httptest.NewServer(cluster.NewHandler(cl))
+	router := httptest.NewServer(cluster.NewHandlerConfig(cl, cluster.HandlerConfig{}))
 	return router.URL, func() {
 		router.Close()
 		_ = cl.Close(closeCtx())

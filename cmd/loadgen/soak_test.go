@@ -33,7 +33,7 @@ func newSoakHarness(t *testing.T, queueDepth int, lim *resilience.Limiter) *soak
 	var cfgs []cluster.ShardConfig
 	for i := 0; i < 3; i++ {
 		mgr := service.New(service.Config{Workers: 1, QueueDepth: 4})
-		srv := httptest.NewServer(service.NewHandler(mgr))
+		srv := httptest.NewServer(service.NewHandlerConfig(mgr, service.HandlerConfig{}))
 		h.mgrs = append(h.mgrs, mgr)
 		h.shards = append(h.shards, srv)
 		cfgs = append(cfgs, cluster.ShardConfig{Name: "shard" + string(rune('0'+i)), URL: srv.URL})
@@ -188,7 +188,7 @@ func TestOverloadSoak(t *testing.T) {
 // the interactive deadline counter on the daemon.
 func TestDeadlineAccounting(t *testing.T) {
 	mgr := service.New(service.Config{Workers: 1, QueueDepth: 4, JobDeadline: 5 * time.Millisecond})
-	srv := httptest.NewServer(service.NewHandler(mgr))
+	srv := httptest.NewServer(service.NewHandlerConfig(mgr, service.HandlerConfig{}))
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()

@@ -9,14 +9,8 @@
 //	rmcrtd -addr :9000 -workers 4 -queue 32 -cache 128
 //	rmcrtd -client-rate 50 -client-burst 100   # per-client admission
 //
-// API:
-//
-//	POST   /v1/solve              submit a problem spec (JSON)
-//	GET    /v1/jobs/{id}          job status + timings
-//	GET    /v1/jobs/{id}/result   divQ field (JSON)
-//	DELETE /v1/jobs/{id}          cancel
-//	GET    /healthz               liveness
-//	GET    /metrics               plain-text metrics
+// API: the job route table under "Serving" in README.md, served by
+// service.NewHandlerConfig.
 //
 // Submissions may carry an X-Client-ID header (admission accounting and
 // per-client rate limits; anonymous otherwise) and an X-Job-Deadline-Ms
@@ -35,19 +29,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"github.com/uintah-repro/rmcrt/internal/calib"
-	"github.com/uintah-repro/rmcrt/internal/resilience"
 	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
@@ -57,24 +44,19 @@ func main() {
 	}
 }
 
-// run is main's testable body: it parses args, binds an explicit
-// listener (so -addr :0 works), reports the bound address through
-// notify, and returns after a SIGINT/SIGTERM-triggered drain. The
-// signal handler is registered before notify fires, so a test may send
-// the signal as soon as it learns the address.
+// run is main's testable body: it parses args, recovers the manager
+// and serves it through service.EdgeFlags.Serve, which reports the
+// bound address through notify and returns after a SIGINT/SIGTERM
+// drain.
 func run(args []string, notify func(addr string)) error {
 	fs := flag.NewFlagSet("rmcrtd", flag.ContinueOnError)
-	addr := fs.String("addr", ":8372", "listen address")
+	edge := service.RegisterEdgeFlags(fs, ":8372")
 	workers := fs.Int("workers", 0, "solve worker pool size (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 16, "bounded submission queue depth")
 	cacheN := fs.Int("cache", 64, "result cache entries (negative disables)")
 	maxCells := fs.Int64("max-cells", 1<<21, "per-job fine-level cell budget")
-	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown drain deadline")
 	journal := fs.String("journal", "", "write-ahead job journal path (empty = jobs do not survive restarts)")
 	ckptDir := fs.String("ckpt-dir", "", "per-job solve checkpoint directory (empty = no mid-solve checkpoints)")
-	maxBody := fs.Int64("max-body", service.DefaultMaxBodyBytes, "submit request body byte limit (413 beyond it)")
-	clientRate := fs.Float64("client-rate", 0, "per-client admission rate in requests/s (0 disables the limiter)")
-	clientBurst := fs.Float64("client-burst", 0, "per-client admission burst (0 = 2x rate)")
 	calPath := fs.String("calibration", "", "calibration JSON from perfgate -calibrate; enables admission-time solve-cost prediction and deadline feasibility rejection")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -108,53 +90,6 @@ func run(args []string, notify func(addr string)) error {
 		log.Printf("rmcrtd: journal %s: replayed %d records, recovered %d jobs (torn tail: %v)",
 			*journal, rs.RecordsReplayed, rs.JobsRecovered, rs.TornTail)
 	}
-	var lim *resilience.Limiter
-	if *clientRate > 0 {
-		lim = resilience.NewLimiter(resilience.LimiterConfig{
-			Default: resilience.RateBurst{Rate: *clientRate, Burst: *clientBurst},
-		})
-	}
-	// Hardened server: header/read/write/idle timeouts plus bounded
-	// header and submit-body sizes, so slow or oversized clients are
-	// shed instead of accumulating; over-rate clients get 429 at the
-	// edge before the queue sees them.
-	srv := service.NewHTTPServer(*addr, service.NewHandlerConfig(mgr, service.HandlerConfig{
-		MaxBody: *maxBody,
-		Limiter: lim,
-	}))
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("listen: %w", err)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if notify != nil {
-		notify(ln.Addr().String())
-	}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	log.Printf("rmcrtd listening on %s (workers=%d queue=%d cache=%d)",
-		ln.Addr(), *workers, *queue, *cacheN)
-
-	select {
-	case err := <-errCh:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-
-	log.Printf("rmcrtd: shutting down, draining for up to %v", *drain)
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		log.Printf("rmcrtd: http shutdown: %v", err)
-	}
-	if err := mgr.Close(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("rmcrtd: drain: %v", err)
-	} else if errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("rmcrtd: drain deadline hit; running solves were cancelled")
-	}
-	log.Printf("rmcrtd: stopped")
-	return nil
+	log.Printf("rmcrtd: workers=%d queue=%d cache=%d", *workers, *queue, *cacheN)
+	return edge.Serve("rmcrtd", service.NewHandlerConfig(mgr, edge.HandlerConfig()), notify, mgr.Close)
 }

@@ -30,9 +30,8 @@
 // each reroute by decorrelated jitter. X-Job-Deadline-Ms deadlines are
 // forwarded to shards as their remaining milliseconds.
 //
-// API: the rmcrtd job surface (POST /v1/solve, GET/DELETE
-// /v1/jobs/{id}, GET /v1/jobs/{id}/result, /healthz, /metrics) plus
-// GET /v1/shards and POST /v1/shards/{name}/drain|/undrain.
+// API: the job route table under "Serving" in README.md plus the shard
+// routes under "Cluster serving", served by cluster.NewHandlerConfig.
 //
 // On SIGINT/SIGTERM the router stops accepting submissions first, then
 // drains its dispatched jobs under -drain — shards shut down after the
@@ -40,21 +39,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/uintah-repro/rmcrt/internal/calib"
 	"github.com/uintah-repro/rmcrt/internal/cluster"
-	"github.com/uintah-repro/rmcrt/internal/resilience"
 	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
@@ -97,18 +91,17 @@ func main() {
 	}
 }
 
-// run is main's testable body: it parses args, binds an explicit
-// listener (so -addr :0 works), reports the bound address through
-// notify, and returns after a SIGINT/SIGTERM-triggered drain. The
-// signal handler is registered before notify fires, so a test may send
-// the signal as soon as it learns the address. Shutdown ordering is
-// edge-first: the HTTP server stops accepting submissions before the
-// cluster drains, so no job is admitted that the drain will not cover.
+// run is main's testable body: it parses args, starts the cluster and
+// serves it through service.EdgeFlags.Serve, which reports the bound
+// address through notify and returns after a SIGINT/SIGTERM drain.
+// Shutdown ordering is edge-first: the HTTP server stops accepting
+// submissions before the cluster drains, so no job is admitted that the
+// drain will not cover.
 func run(args []string, notify func(addr string)) error {
 	var shards shardFlag
 	fs := flag.NewFlagSet("rmcrtrouter", flag.ContinueOnError)
 	fs.Var(&shards, "shard", "rmcrtd backend as url or name=url (repeatable, required)")
-	addr := fs.String("addr", ":8371", "listen address")
+	edge := service.RegisterEdgeFlags(fs, ":8371")
 	policy := fs.String("policy", cluster.PolicyAffinity, "routing policy: affinity, roundrobin, leastloaded")
 	sched := fs.String("sched", cluster.SchedPriority, "dispatch scheduling: priority, fcfs, sjf")
 	queue := fs.Int("queue", 256, "router dispatch queue depth")
@@ -117,10 +110,6 @@ func run(args []string, notify func(addr string)) error {
 	poll := fs.Duration("poll", 250*time.Millisecond, "per-job shard status poll interval")
 	healthEvery := fs.Duration("health-interval", time.Second, "shard health probe interval")
 	shardTimeout := fs.Duration("shard-timeout", 10*time.Second, "per-request timeout for backend calls")
-	maxBody := fs.Int64("max-body", service.DefaultMaxBodyBytes, "submit request body byte limit (413 beyond it)")
-	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown drain deadline")
-	clientRate := fs.Float64("client-rate", 0, "per-client admission rate in requests/s (0 disables the limiter)")
-	clientBurst := fs.Float64("client-burst", 0, "per-client admission burst (0 = 2x rate)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive placement failures that trip a shard's circuit (0 = default 5, negative disables)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-circuit cooldown before a half-open probe (0 = default 2s)")
 	retryBudget := fs.Float64("retry-budget", 0, "cluster-wide reroute token budget (0 = default 16, negative disables)")
@@ -166,51 +155,6 @@ func run(args []string, notify func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	var lim *resilience.Limiter
-	if *clientRate > 0 {
-		lim = resilience.NewLimiter(resilience.LimiterConfig{
-			Default: resilience.RateBurst{Rate: *clientRate, Burst: *clientBurst},
-		})
-	}
-	// Same hardened server profile as rmcrtd: bounded header size plus
-	// header/read/write/idle timeouts, and 429-at-the-edge for
-	// over-rate clients.
-	srv := service.NewHTTPServer(*addr, cluster.NewHandlerConfig(c, cluster.HandlerConfig{
-		MaxBody: *maxBody,
-		Limiter: lim,
-	}))
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("listen: %w", err)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if notify != nil {
-		notify(ln.Addr().String())
-	}
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	log.Printf("rmcrtrouter listening on %s (%d shards, policy=%s sched=%s)",
-		ln.Addr(), len(shards.cfgs), *policy, *sched)
-
-	select {
-	case err := <-errCh:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-
-	log.Printf("rmcrtrouter: shutting down, draining for up to %v", *drain)
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	// Edge first: refuse new submissions, then drain what was admitted.
-	if err := srv.Shutdown(shutCtx); err != nil {
-		log.Printf("rmcrtrouter: http shutdown: %v", err)
-	}
-	if err := c.Close(shutCtx); err != nil {
-		log.Printf("rmcrtrouter: drain: %v", err)
-	}
-	log.Printf("rmcrtrouter: stopped")
-	return nil
+	log.Printf("rmcrtrouter: %d shards, policy=%s sched=%s", len(shards.cfgs), *policy, *sched)
+	return edge.Serve("rmcrtrouter", cluster.NewHandlerConfig(c, edge.HandlerConfig()), notify, c.Close)
 }

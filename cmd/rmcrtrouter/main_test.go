@@ -46,7 +46,7 @@ func startRouter(t *testing.T, shardURLs []string, extra ...string) (string, <-c
 // router-before-shards rolling-restart order.
 func TestRouterGracefulShutdown(t *testing.T) {
 	mgr := service.New(service.Config{Workers: 2, QueueDepth: 32})
-	shard := httptest.NewServer(service.NewHandler(mgr))
+	shard := httptest.NewServer(service.NewHandlerConfig(mgr, service.HandlerConfig{}))
 	defer shard.Close()
 
 	addr, errCh := startRouter(t, []string{shard.URL}, "-drain", "10s")
@@ -117,7 +117,7 @@ func TestRouterGracefulShutdown(t *testing.T) {
 // into the router edge.
 func TestRouterClientRateFlag(t *testing.T) {
 	mgr := service.New(service.Config{Workers: 1, QueueDepth: 32})
-	shard := httptest.NewServer(service.NewHandler(mgr))
+	shard := httptest.NewServer(service.NewHandlerConfig(mgr, service.HandlerConfig{}))
 	defer shard.Close()
 
 	addr, errCh := startRouter(t, []string{shard.URL},

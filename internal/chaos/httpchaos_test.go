@@ -33,7 +33,7 @@ func newHTTPChaosHarness(t *testing.T, ftCfg resilience.FaultTransportConfig, mu
 	var cfgs []cluster.ShardConfig
 	for i := 0; i < 3; i++ {
 		mgr := service.New(service.Config{Workers: 1, QueueDepth: 8})
-		srv := httptest.NewServer(service.NewHandler(mgr))
+		srv := httptest.NewServer(service.NewHandlerConfig(mgr, service.HandlerConfig{}))
 		h.mgrs = append(h.mgrs, mgr)
 		h.shards = append(h.shards, srv)
 		cfgs = append(cfgs, cluster.ShardConfig{Name: "c" + string(rune('0'+i)), URL: srv.URL})
@@ -63,7 +63,7 @@ func newHTTPChaosHarness(t *testing.T, ftCfg resilience.FaultTransportConfig, mu
 		t.Fatal(err)
 	}
 	h.cl = cl
-	h.router = httptest.NewServer(cluster.NewHandler(cl))
+	h.router = httptest.NewServer(cluster.NewHandlerConfig(cl, cluster.HandlerConfig{}))
 	return h
 }
 

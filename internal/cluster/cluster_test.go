@@ -43,7 +43,7 @@ func newTestHarness(t *testing.T, n int, mut func(*Config)) *testHarness {
 	}
 	for i := 0; i < n; i++ {
 		mgr := service.New(service.Config{Workers: 2, QueueDepth: 32})
-		srv := httptest.NewServer(service.NewHandler(mgr))
+		srv := httptest.NewServer(service.NewHandlerConfig(mgr, service.HandlerConfig{}))
 		sh := &testShard{mgr: mgr, srv: srv}
 		h.shards = append(h.shards, sh)
 		cfg.Shards = append(cfg.Shards, ShardConfig{URL: srv.URL})
@@ -109,7 +109,7 @@ func TestClusterEndToEndBitwise(t *testing.T) {
 	if fin.Shard == "" || fin.ShardJobID == "" {
 		t.Fatalf("finished job missing placement info: %+v", fin)
 	}
-	payload, _, terminal, err := h.cluster.Result(st.ID)
+	payload, _, terminal, err := h.cluster.Payload(st.ID)
 	if err != nil || !terminal || payload == nil {
 		t.Fatalf("result: payload=%v terminal=%v err=%v", payload, terminal, err)
 	}
@@ -217,7 +217,7 @@ func TestClusterShardKillReroute(t *testing.T) {
 		t.Fatal("router_jobs_rerouted_total = 0 after a shard kill")
 	}
 
-	payload, _, terminal, err := h.cluster.Result(st.ID)
+	payload, _, terminal, err := h.cluster.Payload(st.ID)
 	if err != nil || !terminal || payload == nil {
 		t.Fatalf("result after reroute: payload=%v terminal=%v err=%v", payload, terminal, err)
 	}
@@ -404,7 +404,7 @@ func TestClusterCancel(t *testing.T) {
 }
 
 // Router-side admission control: a full dispatch queue rejects with
-// the typed ErrQueueFull.
+// the typed service.ErrQueueFull.
 func TestClusterQueueFull(t *testing.T) {
 	h := newTestHarness(t, 1, func(c *Config) {
 		c.QueueDepth = 1
@@ -418,7 +418,7 @@ func TestClusterQueueFull(t *testing.T) {
 	for i := 0; i < 50 && !sawFull; i++ {
 		_, err := h.cluster.Submit(service.Spec{Kind: service.KindBenchmark, N: 20, Rays: 5000, Seed: uint64(62 + i)})
 		if err != nil {
-			if !strings.Contains(err.Error(), ErrQueueFull.Error()) {
+			if !strings.Contains(err.Error(), service.ErrQueueFull.Error()) {
 				t.Fatalf("unexpected submit error: %v", err)
 			}
 			sawFull = true

@@ -27,7 +27,7 @@ func TestClusterDeadlineInfeasible(t *testing.T) {
 
 	spec := service.Spec{Kind: service.KindBenchmark, N: 12, Seed: 1}
 	_, err := c.SubmitDeadline(spec, time.Now().Add(time.Second))
-	if !errors.Is(err, ErrDeadlineInfeasible) {
+	if !errors.Is(err, service.ErrDeadlineInfeasible) {
 		t.Fatalf("err = %v, want ErrDeadlineInfeasible", err)
 	}
 	if v := counterValue(t, c, "router_jobs_infeasible_total"); v != 1 {
@@ -49,7 +49,7 @@ func TestClusterDeadlineInfeasible(t *testing.T) {
 	waitDone(t, c, st.ID)
 
 	// 422 at the edge, with no Retry-After: retrying cannot succeed.
-	srv := httptest.NewServer(NewHandler(c))
+	srv := httptest.NewServer(NewHandlerConfig(c, HandlerConfig{}))
 	defer srv.Close()
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/solve",
 		strings.NewReader(`{"kind":"benchmark","n":12,"seed":2}`))

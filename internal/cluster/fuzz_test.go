@@ -1,14 +1,17 @@
 package cluster
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
-// FuzzRouterSubmit hammers the router's submit decode path — the only
-// place rmcrtrouter parses untrusted bytes. Invariants:
+// FuzzRouterSubmit hammers the router's submit decode path —
+// service.ParseSubmit, which the shared job API calls on every POST
+// /v1/solve and the only place rmcrtrouter parses untrusted bytes.
+// Invariants:
 //
 //   - ParseSubmit never panics;
 //   - anything it accepts is already normalized and passes Validate
@@ -30,7 +33,7 @@ func FuzzRouterSubmit(f *testing.F) {
 	f.Add([]byte(`{}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := ParseSubmit(data)
+		spec, err := service.ParseSubmit(bytes.NewReader(data))
 		if err != nil {
 			return // rejected: the router answers 400 and moves on
 		}

@@ -1,34 +1,10 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 
-	"github.com/uintah-repro/rmcrt/internal/resilience"
 	"github.com/uintah-repro/rmcrt/internal/service"
 )
-
-// ParseSubmit decodes and validates a submit body into a normalized
-// Spec, exactly as the router's POST /v1/solve does — strict JSON
-// (unknown fields rejected) so typos fail loudly instead of silently
-// solving the wrong problem. It is also the router's fuzz surface:
-// every input either returns an error or a spec that Validate accepts.
-func ParseSubmit(body []byte) (service.Spec, error) {
-	var spec service.Spec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return service.Spec{}, err
-	}
-	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
-		return service.Spec{}, err
-	}
-	return spec, nil
-}
 
 // shardInfo is one row of GET /v1/shards.
 type shardInfo struct {
@@ -38,163 +14,19 @@ type shardInfo struct {
 	Inflight int        `json:"inflight"`
 }
 
-type errorPayload struct {
-	Error string `json:"error"`
-}
+// HandlerConfig shapes the router's HTTP edge: the daemon's, since the
+// job API is one route table.
+type HandlerConfig = service.HandlerConfig
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorPayload{Error: err.Error()})
-}
-
-// pathJobID validates the {id} path segment against the generated-ID
-// format shared with the daemon, answering 400 for anything a router
-// could not have issued — path dots, escapes, foreign formats.
-func pathJobID(w http.ResponseWriter, r *http.Request) (string, bool) {
-	id := r.PathValue("id")
-	if !service.ValidJobID(id) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("%w: %q", service.ErrBadJobID, id))
-		return "", false
-	}
-	return id, true
-}
-
-// NewHandler exposes a Cluster as the rmcrtrouter HTTP API — the same
-// job surface as a single rmcrtd, so clients move between daemon and
-// cluster by changing one base URL, plus shard administration:
+// NewHandlerConfig exposes a Cluster as the rmcrtrouter HTTP API: the
+// job route table of service.NewHandlerConfig — the same surface as a
+// single rmcrtd — plus shard administration:
 //
-//	POST   /v1/solve                  submit a Spec; 202 + JobStatus
-//	GET    /v1/jobs/{id}              cluster job status
-//	GET    /v1/jobs/{id}/result       divQ payload once done
-//	DELETE /v1/jobs/{id}              cancel
 //	GET    /v1/shards                 shard states and loads
 //	POST   /v1/shards/{name}/drain    stop placing on a shard
 //	POST   /v1/shards/{name}/undrain  return it to service
-//	GET    /healthz                   liveness + job and shard counts
-//	GET    /metrics                   plain-text metrics exposition
-func NewHandler(c *Cluster) http.Handler {
-	return NewHandlerLimit(c, service.DefaultMaxBodyBytes)
-}
-
-// NewHandlerLimit is NewHandler with an explicit submit-body limit;
-// larger bodies get 413 with service.ErrBodyTooLarge.
-func NewHandlerLimit(c *Cluster, maxBody int64) http.Handler {
-	return NewHandlerConfig(c, HandlerConfig{MaxBody: maxBody})
-}
-
-// HandlerConfig shapes the router's HTTP edge, mirroring the daemon's
-// service.HandlerConfig.
-type HandlerConfig struct {
-	// MaxBody is the submit-body byte limit (0 = DefaultMaxBodyBytes).
-	MaxBody int64
-	// Limiter, when set, applies per-client token-bucket admission
-	// before the body is read: over-rate clients get 429 + Retry-After
-	// at the router, before any shard sees the job.
-	Limiter *resilience.Limiter
-}
-
-// NewHandlerConfig is NewHandler with the full edge configuration.
 func NewHandlerConfig(c *Cluster, hc HandlerConfig) http.Handler {
-	maxBody := hc.MaxBody
-	if maxBody <= 0 {
-		maxBody = service.DefaultMaxBodyBytes
-	}
-	mux := http.NewServeMux()
-
-	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
-		if !service.AdmitClient(hc.Limiter, w, r) {
-			return
-		}
-		deadline, err := service.ParseDeadline(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-		var spec service.Spec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				writeErr(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("%w (limit %d bytes)", service.ErrBodyTooLarge, mbe.Limit))
-				return
-			}
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		st, err := c.SubmitDeadline(spec, deadline)
-		switch {
-		case err == nil:
-			writeJSON(w, http.StatusAccepted, st)
-		case errors.Is(err, ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, ErrDeadlineInfeasible):
-			// Not a load problem: retrying the same job with the same
-			// deadline can never succeed, so no Retry-After.
-			writeErr(w, http.StatusUnprocessableEntity, err)
-		case errors.Is(err, ErrClosed):
-			writeErr(w, http.StatusServiceUnavailable, err)
-		default: // spec validation
-			writeErr(w, http.StatusBadRequest, err)
-		}
-	})
-
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, ok := pathJobID(w, r)
-		if !ok {
-			return
-		}
-		st, err := c.Status(id)
-		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-
-	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		id, ok := pathJobID(w, r)
-		if !ok {
-			return
-		}
-		payload, st, terminal, err := c.Result(id)
-		switch {
-		case errors.Is(err, ErrNotFound):
-			writeErr(w, http.StatusNotFound, err)
-		case !terminal:
-			writeJSON(w, http.StatusConflict, st)
-		case st.State != service.StateDone || payload == nil:
-			writeJSON(w, http.StatusGone, st)
-		default:
-			writeJSON(w, http.StatusOK, payload)
-		}
-	})
-
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, ok := pathJobID(w, r)
-		if !ok {
-			return
-		}
-		st, err := c.Cancel(id)
-		switch {
-		case err == nil:
-			writeJSON(w, http.StatusOK, st)
-		case errors.Is(err, ErrNotFound):
-			writeErr(w, http.StatusNotFound, err)
-		case errors.Is(err, service.ErrJobFinished):
-			writeJSON(w, http.StatusConflict, st)
-		default:
-			writeErr(w, http.StatusInternalServerError, err)
-		}
-	})
+	mux := service.NewHandlerConfig(c, hc)
 
 	mux.HandleFunc("GET /v1/shards", func(w http.ResponseWriter, r *http.Request) {
 		shards := c.Shards().Shards()
@@ -205,44 +37,20 @@ func NewHandlerConfig(c *Cluster, hc HandlerConfig) http.Handler {
 				State: s.State(), Inflight: s.Inflight(),
 			})
 		}
-		writeJSON(w, http.StatusOK, out)
+		service.WriteJSON(w, http.StatusOK, out)
 	})
 
-	mux.HandleFunc("POST /v1/shards/{name}/drain", func(w http.ResponseWriter, r *http.Request) {
-		if err := c.Shards().Drain(r.PathValue("name")); err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "draining"})
-	})
-
-	mux.HandleFunc("POST /v1/shards/{name}/undrain", func(w http.ResponseWriter, r *http.Request) {
-		if err := c.Shards().Undrain(r.PathValue("name")); err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "healthy"})
-	})
-
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		up := 0
-		for _, s := range c.Shards().Shards() {
-			if s.State() == ShardHealthy {
-				up++
+	admin := func(op func(name string) error, state string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if err := op(r.PathValue("name")); err != nil {
+				service.WriteError(w, http.StatusNotFound, err)
+				return
 			}
+			service.WriteJSON(w, http.StatusOK, map[string]string{"status": state})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":    "ok",
-			"policy":    c.Policy(),
-			"jobs":      c.JobCount(),
-			"shards_up": up,
-		})
-	})
-
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = c.Registry().WriteText(w)
-	})
+	}
+	mux.HandleFunc("POST /v1/shards/{name}/drain", admin(c.Shards().Drain, "draining"))
+	mux.HandleFunc("POST /v1/shards/{name}/undrain", admin(c.Shards().Undrain, "healthy"))
 
 	return mux
 }

@@ -131,7 +131,7 @@ func TestHTTPCarriesDeadlineError(t *testing.T) {
 			return nil, 0, 0, ctx.Err()
 		},
 	})
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(NewHandlerConfig(m, HandlerConfig{}))
 	defer srv.Close()
 	st := submitAndAwaitFailure(t, srv, fastSpec(3))
 	if st.State != StateFailed {
@@ -151,7 +151,7 @@ func TestHTTPCarriesRankLostError(t *testing.T) {
 			return nil, 0, 0, fmt.Errorf("timestep 7: %w", sched.ErrRankLost)
 		},
 	})
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(NewHandlerConfig(m, HandlerConfig{}))
 	defer srv.Close()
 	st := submitAndAwaitFailure(t, srv, fastSpec(4))
 	if st.State != StateFailed {

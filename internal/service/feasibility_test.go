@@ -65,7 +65,7 @@ func TestHTTPDeadlineInfeasible422(t *testing.T) {
 		Workers:   1,
 		CostModel: func(Spec) float64 { return 3600 },
 	})
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(NewHandlerConfig(m, HandlerConfig{}))
 	defer srv.Close()
 
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/solve",

@@ -1,14 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"testing"
 )
 
 // FuzzParseSpec hammers the JSON→Spec→Normalized/Validate/Key pipeline
-// — the only part of the daemon that parses untrusted bytes. Invariants:
+// — the only part of the daemon that parses untrusted bytes — through
+// ParseSubmit, the decoder the job API calls on every POST /v1/solve.
+// Invariants:
 //
+//   - ParseSubmit never panics, and what it accepts is normalized, valid
+//     and the normalization of the leniently decoded spec;
 //   - Validate never panics and rejects only with the typed SpecError;
 //   - Normalized is idempotent (normalizing twice changes nothing),
 //     which the content-addressed cache depends on;
@@ -27,9 +32,23 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		parsed, perr := ParseSubmit(bytes.NewReader(data))
+		if perr == nil {
+			if err := parsed.Validate(); err != nil {
+				t.Fatalf("ParseSubmit accepted a spec Validate rejects: %v\nspec: %+v", err, parsed)
+			}
+			if again := parsed.Normalized(); again != parsed {
+				t.Fatalf("ParseSubmit returned a non-normalized spec:\n got: %+v\nnorm: %+v", parsed, again)
+			}
+		}
 		var spec Spec
 		if err := json.Unmarshal(data, &spec); err != nil {
-			t.Skip() // not a spec — nothing to check
+			t.Skip() // not a spec — nothing more to check
+		}
+		// One whole JSON value without unknown fields decodes the same
+		// strictly and leniently.
+		if perr == nil && spec.Normalized() != parsed {
+			t.Fatalf("ParseSubmit = %+v, lenient decode normalizes to %+v", parsed, spec.Normalized())
 		}
 
 		norm := spec.Normalized()

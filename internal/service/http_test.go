@@ -17,7 +17,7 @@ import (
 func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Manager) {
 	t.Helper()
 	m := New(cfg)
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(NewHandlerConfig(m, HandlerConfig{}))
 	t.Cleanup(func() {
 		srv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

@@ -309,9 +309,10 @@ type Manager struct {
 	pending []Event // queued for OnEvent, delivered outside m.mu
 }
 
-// classCounters registers one counter per SLO class, suffixing the
-// class name in the cluster router's style ("-" → "_").
-func classCounters(r *metrics.Registry, prefix, what, help string) map[string]*metrics.Counter {
+// ClassCounters registers one counter per SLO class, named
+// prefix_class_<what>_total_<class> with "-" in class names as "_" —
+// the per-class families of both rmcrtd and rmcrtrouter.
+func ClassCounters(r *metrics.Registry, prefix, what, help string) map[string]*metrics.Counter {
 	out := make(map[string]*metrics.Counter, 3)
 	for _, c := range Classes() {
 		name := prefix + "_class_" + what + "_total_" + strings.ReplaceAll(c, "-", "_")
@@ -320,9 +321,9 @@ func classCounters(r *metrics.Registry, prefix, what, help string) map[string]*m
 	return out
 }
 
-// classInc bumps the class's counter, ignoring unknown classes (the
+// ClassInc bumps the class's counter, ignoring unknown classes (the
 // spec validator rejects them before any counter is touched).
-func classInc(mm map[string]*metrics.Counter, class string) {
+func ClassInc(mm map[string]*metrics.Counter, class string) {
 	if c, ok := mm[class]; ok {
 		c.Inc()
 	}
@@ -428,12 +429,12 @@ func Recover(cfg Config) (*Manager, error) {
 	m.gRunning = r.Gauge("rmcrtd_jobs_running", "solves currently executing")
 	m.gLastCkpt = r.Gauge("rmcrtd_checkpoint_last_unix_seconds", "unix time of the most recent checkpoint write")
 	m.hSolve = r.Histogram("rmcrtd_solve_seconds", "solve wall time", metrics.DefBuckets)
-	m.mClassSubmitted = classCounters(r, "rmcrtd", "submitted", "jobs accepted")
-	m.mClassDone = classCounters(r, "rmcrtd", "done", "jobs completed successfully")
-	m.mClassFailed = classCounters(r, "rmcrtd", "failed", "jobs that ended in error")
-	m.mClassCancelled = classCounters(r, "rmcrtd", "cancelled", "jobs cancelled")
-	m.mClassRejected = classCounters(r, "rmcrtd", "rejected", "submissions rejected queue-full")
-	m.mClassDeadline = classCounters(r, "rmcrtd", "deadline", "jobs failed by the per-job deadline")
+	m.mClassSubmitted = ClassCounters(r, "rmcrtd", "submitted", "jobs accepted")
+	m.mClassDone = ClassCounters(r, "rmcrtd", "done", "jobs completed successfully")
+	m.mClassFailed = ClassCounters(r, "rmcrtd", "failed", "jobs that ended in error")
+	m.mClassCancelled = ClassCounters(r, "rmcrtd", "cancelled", "jobs cancelled")
+	m.mClassRejected = ClassCounters(r, "rmcrtd", "rejected", "submissions rejected queue-full")
+	m.mClassDeadline = ClassCounters(r, "rmcrtd", "deadline", "jobs failed by the per-job deadline")
 	m.trace = rmcrt.NewTraceMetrics(r)
 	if cfg.PackedRetainBytes >= 0 {
 		// The shared packed-table cache (the level-database analog);
@@ -600,7 +601,7 @@ func (m *Manager) SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, erro
 	if expired {
 		if _, ok := m.cache.get(key); !ok {
 			m.mExpired.Inc()
-			classInc(m.mClassSubmitted, job.class)
+			ClassInc(m.mClassSubmitted, job.class)
 			m.queueEventLocked(Event{Type: EventSubmitted, ID: job.id, Key: key, Class: job.class})
 			job.ephemeral = true
 			m.jobs[job.id] = job
@@ -621,7 +622,7 @@ func (m *Manager) SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, erro
 			est := m.cfg.CostModel(spec)
 			if !deadline.IsZero() && est > time.Until(deadline).Seconds() {
 				m.mInfeasible.Inc()
-				classInc(m.mClassRejected, job.class)
+				ClassInc(m.mClassRejected, job.class)
 				m.queueEventLocked(Event{Type: EventRejected, Key: key, Class: job.class, Err: ErrDeadlineInfeasible})
 				return JobStatus{}, fmt.Errorf("%w: predicted %.3fs, budget %.3fs",
 					ErrDeadlineInfeasible, est, time.Until(deadline).Seconds())
@@ -634,7 +635,7 @@ func (m *Manager) SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, erro
 	// same answer; serve it without tracing a single ray.
 	if divQ, ok := m.cache.get(key); ok {
 		m.mCacheHit.Inc()
-		classInc(m.mClassSubmitted, job.class)
+		ClassInc(m.mClassSubmitted, job.class)
 		m.queueEventLocked(Event{Type: EventSubmitted, ID: job.id, Key: key, Class: job.class})
 		job.fromCache = true
 		m.jobs[job.id] = job
@@ -660,7 +661,7 @@ func (m *Manager) SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, erro
 		loosenDeadline(fl, job)
 		m.mCoalesced.Inc()
 		m.mSubmitted.Inc()
-		classInc(m.mClassSubmitted, job.class)
+		ClassInc(m.mClassSubmitted, job.class)
 		m.queueEventLocked(Event{Type: EventSubmitted, ID: job.id, Key: key, Class: job.class})
 		job.coalesced = true
 		m.jobs[job.id] = job
@@ -675,7 +676,7 @@ func (m *Manager) SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, erro
 	default:
 		fcancel()
 		m.mRejected.Inc()
-		classInc(m.mClassRejected, job.class)
+		ClassInc(m.mClassRejected, job.class)
 		m.queueEventLocked(Event{Type: EventRejected, Key: key, Class: job.class, Err: ErrQueueFull})
 		if m.journal != nil {
 			// Compensate the submit record so the rejected job is not
@@ -686,7 +687,7 @@ func (m *Manager) SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, erro
 	}
 	m.gQueued.Inc()
 	m.mSubmitted.Inc()
-	classInc(m.mClassSubmitted, job.class)
+	ClassInc(m.mClassSubmitted, job.class)
 	m.queueEventLocked(Event{Type: EventSubmitted, ID: job.id, Key: key, Class: job.class})
 	job.fl = fl
 	m.batch.Start(fl)
@@ -833,18 +834,18 @@ func (m *Manager) finishLocked(j *Job, st State, divQ *field.CC[float64], err er
 	switch st {
 	case StateDone:
 		m.mDone.Inc()
-		classInc(m.mClassDone, j.class)
+		ClassInc(m.mClassDone, j.class)
 		m.queueEventLocked(Event{Type: EventDone, ID: j.id, Key: j.key, Class: j.class})
 	case StateFailed:
 		m.mFailed.Inc()
-		classInc(m.mClassFailed, j.class)
+		ClassInc(m.mClassFailed, j.class)
 		if errors.Is(err, ErrDeadlineExceeded) {
-			classInc(m.mClassDeadline, j.class)
+			ClassInc(m.mClassDeadline, j.class)
 		}
 		m.queueEventLocked(Event{Type: EventFailed, ID: j.id, Key: j.key, Class: j.class, Err: err})
 	case StateCancelled:
 		m.mCancelled.Inc()
-		classInc(m.mClassCancelled, j.class)
+		ClassInc(m.mClassCancelled, j.class)
 		m.queueEventLocked(Event{Type: EventCancelled, ID: j.id, Key: j.key, Class: j.class, Err: err})
 	}
 	// Close the job's journal entry. Best-effort: a failed append only
@@ -899,24 +900,25 @@ func (m *Manager) statusLocked(j *Job) JobStatus {
 		Rays: j.rays, Steps: j.steps, RaysSaved: j.raysSaved,
 		FromCache: j.fromCache, Coalesced: j.coalesced,
 	}
-	now := time.Now()
-	switch {
-	case !j.started.IsZero():
-		st.QueueSeconds = j.started.Sub(j.submitted).Seconds()
-		end := now
-		if !j.finished.IsZero() {
-			end = j.finished
-		}
-		st.RunSeconds = end.Sub(j.started).Seconds()
-	case !j.finished.IsZero():
-		st.QueueSeconds = j.finished.Sub(j.submitted).Seconds()
-	default:
-		st.QueueSeconds = now.Sub(j.submitted).Seconds()
-	}
+	st.QueueSeconds, st.RunSeconds = JobSeconds(j.submitted, j.started, j.finished)
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
 	return st
+}
+
+// JobSeconds splits a job's life into queue and run time: queue from
+// submission to start (or to terminal, or now, for a job that never
+// started), run from start to terminal (or now). Zero times are unset.
+func JobSeconds(submitted, started, finished time.Time) (queue, run float64) {
+	end := finished
+	if end.IsZero() {
+		end = time.Now()
+	}
+	if started.IsZero() {
+		return end.Sub(submitted).Seconds(), 0
+	}
+	return started.Sub(submitted).Seconds(), end.Sub(started).Seconds()
 }
 
 // Status returns a job's snapshot.
@@ -946,6 +948,20 @@ func (m *Manager) Result(id string) (*field.CC[float64], JobStatus, bool, error)
 	}
 	return j.divQ, st, true, j.err
 }
+
+// Payload is Result in its JSON form: the divQ payload of a done job,
+// nil for every other state.
+func (m *Manager) Payload(id string) (*ResultPayload, JobStatus, bool, error) {
+	divQ, st, terminal, err := m.Result(id)
+	if st.State != StateDone {
+		return nil, st, terminal, err
+	}
+	p := newResultPayload(st.ID, st.Key, divQ)
+	return &p, st, terminal, err
+}
+
+// HealthFields: a daemon's /healthz is its status and job counts alone.
+func (m *Manager) HealthFields() map[string]any { return nil }
 
 // Wait blocks until the job reaches a terminal state or ctx expires.
 func (m *Manager) Wait(ctx context.Context, id string) (JobStatus, error) {

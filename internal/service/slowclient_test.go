@@ -12,12 +12,13 @@ import (
 )
 
 // startHardenedServer serves the daemon handler behind the production
-// server profile with the given (deliberately short) timeouts, on a
-// loopback listener.
-func startHardenedServer(t *testing.T, timeouts service.HTTPTimeouts) string {
+// server profile with its header and whole-request read timeouts shrunk
+// (deliberately short), on a loopback listener.
+func startHardenedServer(t *testing.T, readHeader, read time.Duration) string {
 	t.Helper()
 	mgr := service.New(service.Config{Workers: 1, QueueDepth: 4})
-	srv := service.NewHTTPServerTimeouts("", service.NewHandler(mgr), timeouts)
+	srv := service.NewHTTPServer("", service.NewHandlerConfig(mgr, service.HandlerConfig{}))
+	srv.ReadHeaderTimeout, srv.ReadTimeout = readHeader, read
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -55,10 +56,7 @@ func waitGoroutineBaseline(t *testing.T, base int) {
 // and the server goroutine serving it is reclaimed.
 func TestSlowLorisHeadersCutOff(t *testing.T) {
 	base := runtime.NumGoroutine()
-	addr := startHardenedServer(t, service.HTTPTimeouts{
-		ReadHeader: 150 * time.Millisecond,
-		Read:       300 * time.Millisecond,
-	})
+	addr := startHardenedServer(t, 150*time.Millisecond, 300*time.Millisecond)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -93,10 +91,7 @@ func TestSlowLorisHeadersCutOff(t *testing.T) {
 // ReadTimeout — a valid header phase buys no immortality.
 func TestSlowBodyCutOff(t *testing.T) {
 	base := runtime.NumGoroutine()
-	addr := startHardenedServer(t, service.HTTPTimeouts{
-		ReadHeader: 150 * time.Millisecond,
-		Read:       300 * time.Millisecond,
-	})
+	addr := startHardenedServer(t, 150*time.Millisecond, 300*time.Millisecond)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

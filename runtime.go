@@ -221,8 +221,9 @@ var (
 	ErrTornJournal   = service.ErrTornJournal
 )
 
-// NewServiceHandler builds the rmcrtd HTTP API around a service.
-var NewServiceHandler = service.NewHandler
+// NewServiceHandler builds the rmcrtd job HTTP API around a service
+// Manager, with its edge configuration.
+var NewServiceHandler = service.NewHandlerConfig[service.JobStatus]
 
 // ErrQueueFull is the typed admission-control rejection.
 var ErrQueueFull = service.ErrQueueFull
