@@ -107,7 +107,7 @@ func run(args []string, notify func(addr string)) error {
 	queue := fs.Int("queue", 256, "router dispatch queue depth")
 	maxInflight := fs.Int("max-inflight", 4, "max jobs dispatched per shard at a time (0 = unbounded)")
 	attempts := fs.Int("max-attempts", 3, "max placements per job across shard losses")
-	poll := fs.Duration("poll", 250*time.Millisecond, "per-job shard status poll interval")
+	poll := fs.Duration("poll", 250*time.Millisecond, "longest a shard status call blocks (GET /v1/jobs/{id}?wait=) and the shortest gap between one job's status calls")
 	healthEvery := fs.Duration("health-interval", time.Second, "shard health probe interval")
 	shardTimeout := fs.Duration("shard-timeout", 10*time.Second, "per-request timeout for backend calls")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive placement failures that trip a shard's circuit (0 = default 5, negative disables)")

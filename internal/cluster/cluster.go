@@ -72,8 +72,10 @@ type Config struct {
 	// MaxAttempts bounds placements per job across shard losses
 	// (default 3); beyond it the job fails with ErrShardLost.
 	MaxAttempts int
-	// PollInterval is the per-job shard status poll period
-	// (default 250ms).
+	// PollInterval bounds a watcher's shard status calls (default
+	// 250ms): each call long-polls the shard for at most this long
+	// (GET /v1/jobs/{id}?wait=), and calls on one job start at least
+	// this far apart.
 	PollInterval time.Duration
 	// HealthInterval is the shard health-probe period (default 1s).
 	HealthInterval time.Duration
@@ -612,6 +614,9 @@ func (c *Cluster) place(job *Job, shard *Shard) {
 		}
 	}
 	code, respBody, err := c.do(http.MethodPost, shard.URL()+"/v1/solve", body, hdr)
+	if c.closing(shard) {
+		return
+	}
 	switch {
 	case err != nil:
 		c.shardLost(shard, err)
@@ -648,18 +653,25 @@ func (c *Cluster) place(job *Job, shard *Shard) {
 	}
 }
 
-// watch polls the placement until it is terminal, fetching the result
-// payload for successful jobs before declaring them done — so "done"
-// in the router always means "result in hand", and a shard that dies
-// after solving but before handing over the bits is still just a
-// reroute.
+// watch long-polls the placement until it is terminal, fetching the
+// result payload for successful jobs before declaring them done — so
+// "done" in the router always means "result in hand", and a shard that
+// dies after solving but before handing over the bits is still just a
+// reroute. The first status call goes out at once; each asks the shard
+// to hold it for up to PollInterval, and the next starts no sooner than
+// PollInterval after the last, so a shard that ignores the wait is
+// polled no faster than before.
 func (c *Cluster) watch(job *Job, shard *Shard) {
+	wait := "?wait=" + strconv.FormatInt(c.statusWaitMs(), 10)
+	var last time.Time
 	for {
-		select {
-		case <-c.baseCtx.Done():
-			shard.addInflight(-1)
-			return
-		case <-time.After(c.cfg.PollInterval):
+		if !last.IsZero() {
+			select {
+			case <-c.baseCtx.Done():
+				shard.addInflight(-1)
+				return
+			case <-time.After(time.Until(last.Add(c.cfg.PollInterval))):
+			}
 		}
 		c.mu.Lock()
 		terminal, cancelled, shardID := job.state.Terminal(), job.cancelled, job.shardID
@@ -673,7 +685,11 @@ func (c *Cluster) watch(job *Job, shard *Shard) {
 			// Best-effort: stop the shard-side solve, then observe it.
 			_, _, _ = c.do(http.MethodDelete, shard.URL()+"/v1/jobs/"+shardID, nil, nil)
 		}
-		code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID, nil, nil)
+		last = time.Now()
+		code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID+wait, nil, nil)
+		if c.closing(shard) {
+			return
+		}
 		if err != nil && code == 0 {
 			c.shardLost(shard, err)
 			c.requeue(job, shard, true)
@@ -682,7 +698,7 @@ func (c *Cluster) watch(job *Job, shard *Shard) {
 		if err != nil {
 			// The shard answered but the status body tore: a request
 			// fault, as in fetchResult. The breaker counts it; the
-			// placement stands and the next tick polls again.
+			// placement stands and the next call polls again.
 			shard.recordFailure(time.Now())
 			continue
 		}
@@ -726,10 +742,14 @@ func (c *Cluster) watch(job *Job, shard *Shard) {
 }
 
 // fetchResult pulls the finished placement's divQ payload into the
-// job, rewriting the IDs to the router's. Returns false after
-// requeueing the job if the fetch failed.
+// job, rewriting the IDs to the router's. Returns false, with the
+// shard slot released, if the fetch failed (the job is requeued) or
+// the router is closing.
 func (c *Cluster) fetchResult(job *Job, shard *Shard, shardID string) bool {
 	code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID+"/result", nil, nil)
+	if c.closing(shard) {
+		return false
+	}
 	if err != nil && code == 0 {
 		// The transport failed: the shard died between "done" and the
 		// fetch.
@@ -903,6 +923,30 @@ func (c *Cluster) updateJainLocked() {
 		xs = append(xs, float64(cs.completed)/float64(cs.submitted))
 	}
 	c.gJain.Set(JainIndex(xs))
+}
+
+// closing reports whether Close has begun, releasing the job's shard
+// slot if so. A shard call that Close aborted says nothing about the
+// shard: the job is left where it is, untracked, with no reroute and
+// no mark against the shard's health or breaker.
+func (c *Cluster) closing(shard *Shard) bool {
+	if c.baseCtx.Err() == nil {
+		return false
+	}
+	shard.addInflight(-1)
+	return true
+}
+
+// statusWaitMs is the wait a watcher's status call asks of the shard:
+// PollInterval in whole milliseconds, rounded up, held under half the
+// client's timeout so a long-poll is never cut off as a transport
+// failure.
+func (c *Cluster) statusWaitMs() int64 {
+	wait := c.cfg.PollInterval
+	if t := c.cfg.Client.Timeout; t > 0 && wait > t/2 {
+		wait = t / 2
+	}
+	return max(int64((wait+time.Millisecond-1)/time.Millisecond), 1)
 }
 
 // shardLost demotes a shard after a transport-level failure. Health

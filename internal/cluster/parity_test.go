@@ -27,10 +27,12 @@ type parityOpts struct {
 	queue      int   // daemon queue / router dispatch queue depth (0 = default)
 }
 
-// parityEnv is one running plane: its base URL and a way to close the
+// parityEnv is one running plane: its base URL, its job API handler
+// (for serving it again behind another server) and a way to close the
 // backend behind the still-serving HTTP edge.
 type parityEnv struct {
 	url   string
+	h     http.Handler
 	close func()
 }
 
@@ -81,7 +83,7 @@ func startParityDaemon(t *testing.T, o parityOpts, limiter *resilience.Limiter) 
 var parityPlanes = []parityPlane{
 	{"daemon", func(t *testing.T, o parityOpts) *parityEnv {
 		mgr, srv := startParityDaemon(t, o, o.limiter())
-		return &parityEnv{url: srv.URL, close: func() { _ = mgr.Close(context.Background()) }}
+		return &parityEnv{url: srv.URL, h: srv.Config.Handler, close: func() { _ = mgr.Close(context.Background()) }}
 	}},
 	{"router", func(t *testing.T, o parityOpts) *parityEnv {
 		// One shard behind the router; the shard itself is unlimited and
@@ -112,7 +114,7 @@ var parityPlanes = []parityPlane{
 			srv.Close()
 			closeRouter()
 		})
-		return &parityEnv{url: srv.URL, close: closeRouter}
+		return &parityEnv{url: srv.URL, h: srv.Config.Handler, close: closeRouter}
 	}},
 }
 
@@ -213,6 +215,9 @@ type parityRow struct {
 	errBody bool
 	// check makes row-specific assertions on the response body.
 	check func(t *testing.T, e *parityEnv, body []byte)
+	// minElapsed and maxElapsed bound the request's round trip (zero =
+	// unchecked): a long-poll must hold for its wait, or not at all.
+	minElapsed, maxElapsed time.Duration
 }
 
 // submitDone submits the parity spec and waits for it to finish.
@@ -234,6 +239,18 @@ func fillQueue(t *testing.T, e *parityEnv) string {
 	}
 	t.Fatal("queue never filled")
 	return ""
+}
+
+// wantState checks that a status body reports state want.
+func wantState(want service.State) func(t *testing.T, e *parityEnv, body []byte) {
+	return func(t *testing.T, _ *parityEnv, body []byte) {
+		var st struct {
+			State service.State `json:"state"`
+		}
+		if err := json.Unmarshal(body, &st); err != nil || st.State != want {
+			t.Errorf("status body %q, want state %s", body, want)
+		}
+	}
 }
 
 // malformedJobIDs is the union of the ID shapes both planes must refuse
@@ -316,6 +333,25 @@ func parityRows() []parityRow {
 			method: "GET", path: "/v1/jobs/{id}", code: 200},
 		{name: "status/unknown", method: "GET", path: "/v1/jobs/j-999999", code: 404, errBody: true},
 		{name: "status/unknown-router-id", method: "GET", path: "/v1/jobs/r-999999", code: 404, errBody: true},
+		// Long-poll: a finished job answers at once, even at a wait far
+		// above the cap (clamped, not refused); a running one answers
+		// its non-terminal status when the wait elapses.
+		{name: "status/wait-finished", setup: submitDone, method: "GET", path: "/v1/jobs/{id}?wait=30000",
+			code: 200, maxElapsed: time.Second, check: wantState(service.StateDone)},
+		{name: "status/wait-clamped", setup: submitDone, method: "GET", path: "/v1/jobs/{id}?wait=99999999",
+			code: 200, maxElapsed: time.Second, check: wantState(service.StateDone)},
+		{name: "status/wait-timeout", opts: parityOpts{block: true},
+			setup:  func(t *testing.T, e *parityEnv) string { return e.mustSubmit(t, paritySpec) },
+			method: "GET", path: "/v1/jobs/{id}?wait=100", code: 200, minElapsed: 100 * time.Millisecond,
+			check: func(t *testing.T, _ *parityEnv, body []byte) {
+				var st struct {
+					State service.State `json:"state"`
+				}
+				if err := json.Unmarshal(body, &st); err != nil || st.State.Terminal() {
+					t.Errorf("timed-out wait answered %q, want a non-terminal status", body)
+				}
+			}},
+		{name: "status/wait-unknown", method: "GET", path: "/v1/jobs/r-999999?wait=50", code: 404, errBody: true},
 
 		{
 			name: "result/done", setup: submitDone, method: "GET", path: "/v1/jobs/{id}/result", code: 200,
@@ -373,6 +409,20 @@ func parityRows() []parityRow {
 			},
 		},
 	}
+	// Malformed waits are refused before any lookup, with the typed
+	// error: not an integer, empty, zero, negative, or past a
+	// Duration's range.
+	for _, wait := range []string{"banana", "", "0", "-5", "1.5", "10000000000000", "9223372036854775807", "99999999999999999999"} {
+		rows = append(rows, parityRow{
+			name: "status/bad-wait/" + wait, method: "GET", path: "/v1/jobs/j-999999?wait=" + wait,
+			code: 400, errBody: true,
+			check: func(t *testing.T, _ *parityEnv, body []byte) {
+				if !strings.Contains(string(body), service.ErrBadWait.Error()) {
+					t.Errorf("400 body %q does not carry ErrBadWait", body)
+				}
+			},
+		})
+	}
 	// Malformed job IDs on every job route. Plain malformed IDs get the
 	// validator's 400; escaped traversal shapes are unescaped by the mux
 	// and must be refused the same way — never 200, never a lookup.
@@ -403,7 +453,15 @@ func TestHTTPParity(t *testing.T) {
 				if row.setup != nil {
 					id = row.setup(t, e)
 				}
+				start := time.Now()
 				resp, body := e.do(t, row.method, strings.ReplaceAll(row.path, "{id}", id), row.body, row.hdr)
+				elapsed := time.Since(start)
+				if row.minElapsed > 0 && elapsed < row.minElapsed {
+					t.Errorf("answered after %v, want at least %v", elapsed, row.minElapsed)
+				}
+				if row.maxElapsed > 0 && elapsed > row.maxElapsed {
+					t.Errorf("answered after %v, want at most %v", elapsed, row.maxElapsed)
+				}
 				if resp.StatusCode != row.code {
 					t.Fatalf("HTTP %d, want %d (body %q)", resp.StatusCode, row.code, body)
 				}

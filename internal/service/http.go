@@ -1,11 +1,13 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -24,6 +26,9 @@ var (
 	// ErrBadJobID rejects a job ID that does not match the generated
 	// format; HTTP maps it to 400 before the ID reaches any lookup.
 	ErrBadJobID = errors.New("service: malformed job id")
+	// ErrBadWait rejects a status long-poll whose wait parameter is not
+	// a positive integer number of milliseconds; HTTP maps it to 400.
+	ErrBadWait = errors.New("service: bad wait")
 )
 
 // DefaultMaxBodyBytes bounds a submit request body. Specs are a few
@@ -61,6 +66,28 @@ func ParseDeadline(r *http.Request) (time.Time, error) {
 		return time.Time{}, fmt.Errorf("service: bad %s %q: want positive integer milliseconds", DeadlineHeader, h)
 	}
 	return time.Now().Add(time.Duration(ms) * time.Millisecond), nil
+}
+
+// MaxStatusWait caps how long GET /v1/jobs/{id}?wait= holds a request:
+// longer waits are clamped to it, well inside NewHTTPServer's 60 s
+// WriteTimeout.
+const MaxStatusWait = 30 * time.Second
+
+// ParseWait reads the status long-poll's wait query parameter. Absent
+// parameter → zero, nil error. A malformed, non-positive or
+// unrepresentably large value is a client error (HTTP 400, ErrBadWait);
+// a value above MaxStatusWait is clamped to it.
+func ParseWait(r *http.Request) (time.Duration, error) {
+	q := r.URL.Query()
+	if !q.Has("wait") {
+		return 0, nil
+	}
+	v := q.Get("wait")
+	ms, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
+		return 0, fmt.Errorf("%w %q: want positive integer milliseconds", ErrBadWait, v)
+	}
+	return min(time.Duration(ms)*time.Millisecond, MaxStatusWait), nil
 }
 
 // clientID extracts the admission-control identity of a request.
@@ -122,11 +149,15 @@ func pathJobID(w http.ResponseWriter, r *http.Request) (string, bool) {
 // NewHTTPServer returns an http.Server hardened for the serving plane:
 // header/read/write/idle timeouts and a bounded header size, so a slow
 // or malicious client cannot pin a connection (or its memory) forever.
+// Request contexts end when Shutdown begins, so a pending status
+// long-poll answers at once instead of holding the drain open.
 // Both rmcrtd and rmcrtrouter serve through it.
 func NewHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{
-		Addr:    addr,
-		Handler: h,
+	base, cancel := context.WithCancel(context.Background())
+	srv := &http.Server{
+		Addr:        addr,
+		Handler:     h,
+		BaseContext: func(net.Listener) context.Context { return base },
 		// Cuts off a client that dribbles its request line and headers
 		// (slow loris).
 		ReadHeaderTimeout: 5 * time.Second,
@@ -137,6 +168,8 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 		IdleTimeout:    120 * time.Second,
 		MaxHeaderBytes: 1 << 20,
 	}
+	srv.RegisterOnShutdown(cancel)
+	return srv
 }
 
 // ResultPayload is the JSON form of a finished solve's divQ field:
@@ -207,6 +240,8 @@ type Backend[S any] interface {
 	// deadline (zero = none).
 	SubmitDeadline(spec Spec, deadline time.Time) (S, error)
 	Status(id string) (S, error)
+	// Wait blocks until the job is terminal or ctx ends.
+	Wait(ctx context.Context, id string) (S, error)
 	// Payload returns a job's divQ payload — nil unless the job is done
 	// — with its status; the boolean reports whether it is terminal.
 	Payload(id string) (*ResultPayload, S, bool, error)
@@ -235,7 +270,9 @@ type HandlerConfig struct {
 //
 //	POST   /v1/solve            submit a Spec (JSON); 202 + status,
 //	                            429 when the queue is full
-//	GET    /v1/jobs/{id}        job status + timings
+//	GET    /v1/jobs/{id}        job status + timings; ?wait=ms holds
+//	                            the call until the job is terminal
+//	                            or the wait (≤ MaxStatusWait) elapses
 //	GET    /v1/jobs/{id}/result divQ payload once done
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /healthz             liveness + job counts
@@ -293,6 +330,18 @@ func NewHandlerConfig[S any](b Backend[S], hc HandlerConfig) *http.ServeMux {
 		id, ok := pathJobID(w, r)
 		if !ok {
 			return
+		}
+		wait, err := ParseWait(r)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, err)
+			return
+		}
+		if wait > 0 {
+			// Terminal, timed out or the request ended: either way the
+			// answer is the status as it stands now.
+			ctx, cancel := context.WithTimeout(r.Context(), wait)
+			_, _ = b.Wait(ctx, id)
+			cancel()
 		}
 		st, err := b.Status(id)
 		if err != nil {
