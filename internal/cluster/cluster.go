@@ -182,42 +182,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Job is one cluster-tracked solve. Mutable fields are guarded by the
-// cluster mutex; terminalQueued additionally lets the lock-free heap
-// skip cancelled entries.
+// Job is one cluster-tracked solve: the shared lifecycle record plus
+// the router's placement state. Its Deadline is checked at submit, at
+// dispatch pop and before placement, and forwarded to the shard as
+// remaining milliseconds. Mutable fields are guarded by the cluster
+// mutex; terminalQueued additionally lets the lock-free heap skip
+// cancelled entries.
 type Job struct {
-	id          string
-	key         string
-	class       string
+	service.JobRecord
 	affinityKey string
 	// cost is the predicted wall-seconds (the SJF ordering key);
 	// costSteps the predicted DDA cell-step count behind it.
 	cost      float64
 	costSteps float64
-	seq       int64
-	spec      service.Spec
 
-	state    service.State
 	shard    *Shard
 	shardID  string
 	attempts int
-	// deadline is the client's propagated absolute deadline (zero =
-	// none): checked at submit, at dispatch pop and before placement,
-	// and forwarded to the shard as remaining milliseconds.
-	deadline time.Time
 	// backoffPrev is the last reroute's backoff delay, feeding the
 	// decorrelated jitter of the next one.
 	backoffPrev time.Duration
-	submitted   time.Time
-	started     time.Time
-	finished    time.Time
 	lastShard   service.JobStatus // latest status observed from the shard
 	result      *service.ResultPayload
-	err         error
 	cancelled   bool
 
 	terminalQueued atomic.Bool
-	done           chan struct{}
 }
 
 // JobStatus is the externally visible snapshot of a cluster job.
@@ -267,10 +256,8 @@ type Cluster struct {
 	wg      sync.WaitGroup
 	kick    chan struct{}
 
-	mu     sync.Mutex
-	closed bool
-	seq    int64
-	jobs   map[string]*Job
+	mu   sync.Mutex
+	jobs *service.JobTable[JobStatus, *Job]
 
 	classStats map[string]*classStat
 
@@ -280,26 +267,14 @@ type Cluster struct {
 	retryBudget *resilience.Budget
 	backoff     *resilience.Backoff
 
-	mSubmitted, mRejected, mDispatched  *metrics.Counter
-	mRerouted, mDone, mFailed           *metrics.Counter
-	mCancelled, mExpired, mBudgetDenied *metrics.Counter
-	mBreakerOpens, mBreakerCloses       *metrics.Counter
-	mBreakerHalfOpens, mInfeasible      *metrics.Counter
-	fcPredictedSeconds                  *metrics.FloatCounter
-	gQueued                             *metrics.Gauge
-	gBudgetTokens                       *metrics.FloatGauge
-	hClass                              map[string]*metrics.Histogram
-	gJain                               *metrics.FloatGauge
-
-	// Per-class overload accounting: which SLO class absorbed the
-	// queue-full rejections, deadline failures and cancellations. Load
-	// reports diff these to show class differentiation under overload.
-	mClassSubmitted map[string]*metrics.Counter
-	mClassDone      map[string]*metrics.Counter
-	mClassFailed    map[string]*metrics.Counter
-	mClassCancelled map[string]*metrics.Counter
-	mClassRejected  map[string]*metrics.Counter
-	mClassDeadline  map[string]*metrics.Counter
+	mSubmitted, mRejected, mDispatched *metrics.Counter
+	mRerouted, mBudgetDenied           *metrics.Counter
+	mBreakerOpens, mBreakerCloses      *metrics.Counter
+	mBreakerHalfOpens                  *metrics.Counter
+	gQueued                            *metrics.Gauge
+	gBudgetTokens                      *metrics.FloatGauge
+	hClass                             map[string]*metrics.Histogram
+	gJain                              *metrics.FloatGauge
 }
 
 type classStat struct{ submitted, completed int64 }
@@ -333,7 +308,6 @@ func New(cfg Config) (*Cluster, error) {
 		baseCtx:    ctx,
 		cancel:     cancel,
 		kick:       make(chan struct{}, 1),
-		jobs:       make(map[string]*Job),
 		classStats: make(map[string]*classStat),
 		hClass:     make(map[string]*metrics.Histogram),
 		cal:        calib.Default(),
@@ -346,30 +320,19 @@ func New(cfg Config) (*Cluster, error) {
 		c.cal = *cfg.Calibration
 		c.calibrated = true
 	}
+	c.jobs = service.NewJobTable[JobStatus, *Job](&c.mu, reg, "router", "r")
 	c.mSubmitted = reg.Counter("router_jobs_submitted_total", "jobs accepted by the router")
 	c.mRejected = reg.Counter("router_jobs_rejected_total", "jobs rejected by router admission control")
 	c.mDispatched = reg.Counter("router_dispatches_total", "job placements sent to shards (includes reroutes)")
 	c.mRerouted = reg.Counter("router_jobs_rerouted_total", "placements retried on another shard after a shard loss")
-	c.mDone = reg.Counter("router_jobs_done_total", "jobs completed successfully")
-	c.mFailed = reg.Counter("router_jobs_failed_total", "jobs that ended in error")
-	c.mCancelled = reg.Counter("router_jobs_cancelled_total", "jobs cancelled by the client or shutdown")
-	c.mExpired = reg.Counter("router_jobs_expired_total", "jobs fast-failed because their propagated deadline expired before placement")
 	c.mBudgetDenied = reg.Counter("router_retry_budget_denied_total", "reroutes refused because the retry budget was dry; the job fails instead of amplifying the outage")
 	c.mBreakerOpens = reg.Counter("router_breaker_opens_total", "shard circuit-breaker transitions to open")
 	c.mBreakerCloses = reg.Counter("router_breaker_closes_total", "shard circuit-breaker transitions to closed")
 	c.mBreakerHalfOpens = reg.Counter("router_breaker_half_opens_total", "shard circuit-breaker transitions to half-open (probe admitted)")
-	c.mInfeasible = reg.Counter("router_jobs_infeasible_total", "jobs rejected at admission because the calibrated predicted solve time exceeded the deadline budget")
-	c.fcPredictedSeconds = reg.FloatCounter("router_predicted_seconds_total", "calibrated predicted wall-seconds of admitted jobs")
 	c.gQueued = reg.Gauge("router_queue_depth", "jobs waiting in the dispatch queue")
 	c.gBudgetTokens = reg.FloatGauge("router_retry_budget_tokens", "retry-budget tokens remaining")
 	c.gJain = reg.FloatGauge("router_class_fairness_jain", "Jain fairness index over per-class goodput fractions (1 = perfectly fair)")
 	c.gJain.Set(1)
-	c.mClassSubmitted = service.ClassCounters(reg, "router", "submitted", "jobs accepted by the router")
-	c.mClassDone = service.ClassCounters(reg, "router", "done", "jobs completed successfully")
-	c.mClassFailed = service.ClassCounters(reg, "router", "failed", "jobs that ended in error")
-	c.mClassCancelled = service.ClassCounters(reg, "router", "cancelled", "jobs cancelled")
-	c.mClassRejected = service.ClassCounters(reg, "router", "rejected", "jobs rejected queue-full by router admission control")
-	c.mClassDeadline = service.ClassCounters(reg, "router", "deadline", "jobs that failed with a deadline-exceeded error")
 	for _, class := range service.Classes() {
 		c.classStats[class] = &classStat{}
 		c.hClass[class] = reg.Histogram(
@@ -441,63 +404,50 @@ func (c *Cluster) SubmitDeadline(spec service.Spec, deadline time.Time) (JobStat
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.jobs.ClosedLocked() {
 		return JobStatus{}, service.ErrClosed
 	}
-	estSeconds := c.cal.Seconds(spec)
-	expired := !deadline.IsZero() && !time.Now().Before(deadline)
+	est := c.cal.Seconds(spec)
+	expired := service.Expired(deadline, time.Now())
 	// Deadline feasibility: with a measured calibration, a job whose
 	// predicted solve time exceeds its entire remaining budget cannot
 	// finish in time even on an idle shard — reject it at admission
 	// instead of spending a queue slot and a solve on it. The default
 	// model is not host-accurate, so uncalibrated clusters skip this.
-	if c.calibrated && !expired && !deadline.IsZero() && estSeconds > time.Until(deadline).Seconds() {
-		c.mInfeasible.Inc()
-		c.mRejected.Inc()
-		service.ClassInc(c.mClassRejected, spec.Class)
-		return JobStatus{}, fmt.Errorf("%w: predicted %.3fs, budget %.3fs",
-			service.ErrDeadlineInfeasible, estSeconds, time.Until(deadline).Seconds())
+	if c.calibrated && !expired {
+		if err := c.jobs.Feasible(spec.Class, est, deadline); err != nil {
+			c.mRejected.Inc()
+			return JobStatus{}, err
+		}
 	}
 	if !expired && c.queue.len() >= c.cfg.QueueDepth {
 		c.mRejected.Inc()
-		service.ClassInc(c.mClassRejected, spec.Class)
+		c.jobs.Rejected(spec.Class)
 		return JobStatus{}, fmt.Errorf("%w (depth %d)", service.ErrQueueFull, c.cfg.QueueDepth)
 	}
-	c.seq++
 	job := &Job{
-		id:          fmt.Sprintf("r-%06d", c.seq),
-		key:         spec.Key(),
-		class:       spec.Class,
+		JobRecord:   c.jobs.NextLocked(spec, deadline),
 		affinityKey: spec.AffinityKey(),
-		cost:        estSeconds,
+		cost:        est,
 		costSteps:   c.cal.Steps(spec),
-		seq:         c.seq,
-		spec:        spec,
-		state:       service.StateQueued,
-		deadline:    deadline,
-		submitted:   time.Now(),
-		done:        make(chan struct{}),
 	}
-	c.fcPredictedSeconds.Add(estSeconds)
-	c.jobs[job.id] = job
+	c.jobs.Predicted(est)
+	c.jobs.AddLocked(job)
 	c.mSubmitted.Inc()
-	service.ClassInc(c.mClassSubmitted, job.class)
-	if st := c.classStats[job.class]; st != nil {
+	if st := c.classStats[job.Class]; st != nil {
 		st.submitted++
 	}
 	if expired {
 		// Dead on arrival: terminal now, without a queue slot or a
 		// dispatch — the accounting identity still sees one submission
 		// and exactly one terminal outcome.
-		c.mExpired.Inc()
-		c.finishLocked(job, service.StateFailed,
-			fmt.Errorf("%w: expired before placement", service.ErrDeadlineExceeded))
-		return c.statusLocked(job), nil
+		c.finishLocked(job, service.StateFailed, c.jobs.Expire("before placement"))
+		return job.Snapshot(), nil
 	}
 	c.queue.push(job)
 	c.syncQueueGauge()
 	c.kickDispatch()
-	return c.statusLocked(job), nil
+	return job.Snapshot(), nil
 }
 
 func (c *Cluster) kickDispatch() {
@@ -523,7 +473,7 @@ func (c *Cluster) failStranded() {
 		}
 		c.mu.Lock()
 		switch {
-		case job.state.Terminal():
+		case job.State.Terminal():
 		case job.attempts > 0:
 			c.finishLocked(job, service.StateFailed,
 				fmt.Errorf("%w: no healthy shards after %d placements", ErrShardLost, job.attempts))
@@ -562,16 +512,14 @@ func (c *Cluster) dispatchLoop() {
 			}
 			shard := c.router.Pick(job, candidates)
 			c.mu.Lock()
-			if job.state.Terminal() {
+			if job.State.Terminal() {
 				c.mu.Unlock()
 				continue
 			}
-			if !job.deadline.IsZero() && !time.Now().Before(job.deadline) {
+			if service.Expired(job.Deadline, time.Now()) {
 				// Expired while waiting in the dispatch queue: fail it here
 				// instead of spending a shard slot on a doomed placement.
-				c.mExpired.Inc()
-				c.finishLocked(job, service.StateFailed,
-					fmt.Errorf("%w: expired in dispatch queue", service.ErrDeadlineExceeded))
+				c.finishLocked(job, service.StateFailed, c.jobs.Expire("in dispatch queue"))
 				c.mu.Unlock()
 				continue
 			}
@@ -593,7 +541,7 @@ func (c *Cluster) dispatchLoop() {
 // watches it to completion. Transport failures mark the shard lost and
 // reroute; shard backpressure requeues without burning an attempt.
 func (c *Cluster) place(job *Job, shard *Shard) {
-	body, err := json.Marshal(job.spec)
+	body, err := json.Marshal(job.Spec)
 	if err != nil { // spec round-trips by construction; defensive only
 		c.releaseAndFinish(job, shard, service.StateFailed, err)
 		return
@@ -601,12 +549,10 @@ func (c *Cluster) place(job *Job, shard *Shard) {
 	// Forward the remaining deadline budget, re-derived against the
 	// local clock (relative milliseconds survive clock skew).
 	var hdr map[string]string
-	if !job.deadline.IsZero() {
-		rem := time.Until(job.deadline)
+	if !job.Deadline.IsZero() {
+		rem := time.Until(job.Deadline)
 		if rem <= 0 {
-			c.mExpired.Inc()
-			c.releaseAndFinish(job, shard, service.StateFailed,
-				fmt.Errorf("%w: expired before placement", service.ErrDeadlineExceeded))
+			c.releaseAndFinish(job, shard, service.StateFailed, c.jobs.Expire("before placement"))
 			return
 		}
 		hdr = map[string]string{
@@ -632,8 +578,8 @@ func (c *Cluster) place(job *Job, shard *Shard) {
 		shard.recordSuccess()
 		c.mu.Lock()
 		job.shardID = st.ID
-		if job.started.IsZero() {
-			job.started = time.Now()
+		if job.Started.IsZero() {
+			job.Started = time.Now()
 		}
 		c.mu.Unlock()
 		c.watch(job, shard)
@@ -674,7 +620,7 @@ func (c *Cluster) watch(job *Job, shard *Shard) {
 			}
 		}
 		c.mu.Lock()
-		terminal, cancelled, shardID := job.state.Terminal(), job.cancelled, job.shardID
+		terminal, cancelled, shardID := job.State.Terminal(), job.cancelled, job.shardID
 		c.mu.Unlock()
 		if terminal {
 			// Whoever finished the job released the shard slot; this
@@ -717,8 +663,8 @@ func (c *Cluster) watch(job *Job, shard *Shard) {
 		}
 		c.mu.Lock()
 		job.lastShard = st
-		if !job.state.Terminal() && (st.State == service.StateQueued || st.State == service.StateRunning) {
-			job.state = st.State
+		if !job.State.Terminal() && (st.State == service.StateQueued || st.State == service.StateRunning) {
+			job.State = st.State
 		}
 		c.mu.Unlock()
 		if !st.State.Terminal() {
@@ -734,11 +680,21 @@ func (c *Cluster) watch(job *Job, shard *Shard) {
 			c.releaseAndFinish(job, shard, service.StateCancelled, context.Canceled)
 			return
 		default:
-			c.releaseAndFinish(job, shard, service.StateFailed,
-				fmt.Errorf("cluster: shard %s: %s", shard.Name(), st.Error))
+			c.releaseAndFinish(job, shard, service.StateFailed, shardError(shard, st.Error))
 			return
 		}
 	}
+}
+
+// shardError is a failure the shard reported as text, prefixed with the
+// shard's name. A shard-side deadline failure wraps ErrDeadlineExceeded,
+// so the router classifies it by errors.Is like its own; the text is
+// unchanged either way.
+func shardError(shard *Shard, msg string) error {
+	if rest, ok := strings.CutPrefix(msg, service.ErrDeadlineExceeded.Error()); ok {
+		return fmt.Errorf("cluster: shard %s: %w%s", shard.Name(), service.ErrDeadlineExceeded, rest)
+	}
+	return fmt.Errorf("cluster: shard %s: %s", shard.Name(), msg)
 }
 
 // fetchResult pulls the finished placement's divQ payload into the
@@ -773,7 +729,7 @@ func (c *Cluster) fetchResult(job *Job, shard *Shard, shardID string) bool {
 		return false
 	}
 	shard.recordSuccess()
-	payload.ID = job.id
+	payload.ID = job.ID
 	c.mu.Lock()
 	job.result = &payload
 	c.mu.Unlock()
@@ -787,58 +743,46 @@ func (c *Cluster) fetchResult(job *Job, shard *Shard, shardID string) bool {
 // — the job is queued, not doomed).
 func (c *Cluster) requeue(job *Job, shard *Shard, countAttempt bool) {
 	shard.addInflight(-1)
+	defer c.kickDispatch()
 	c.mu.Lock()
-	if job.state.Terminal() {
-		c.mu.Unlock()
-		c.kickDispatch()
-		return
-	}
-	if job.cancelled {
+	var fail error
+	switch {
+	case job.cancelled || job.State.Terminal():
+		// Cancelled while placed (a no-op if already terminal).
 		c.finishLocked(job, service.StateCancelled, context.Canceled)
 		c.mu.Unlock()
-		c.kickDispatch()
 		return
-	}
-	if countAttempt && job.attempts >= c.cfg.MaxAttempts {
-		c.finishLocked(job, service.StateFailed,
-			fmt.Errorf("%w after %d placements", ErrShardLost, job.attempts))
-		c.mu.Unlock()
-		c.kickDispatch()
-		return
-	}
-	if countAttempt && c.shards.Healthy() == 0 {
+	case !countAttempt:
+	case job.attempts >= c.cfg.MaxAttempts:
+		fail = fmt.Errorf("%w after %d placements", ErrShardLost, job.attempts)
+	case c.shards.Healthy() == 0:
 		// The whole fleet is down: a job that already lost a shard fails
 		// with the typed error now instead of waiting in a queue nothing
 		// will ever drain. (Each lost placement marks its shard
 		// unhealthy, so repeated losses converge here even when health
 		// probes lag.) Never-placed jobs keep waiting for recovery.
-		c.finishLocked(job, service.StateFailed,
-			fmt.Errorf("%w: no healthy shards after %d placements", ErrShardLost, job.attempts))
+		fail = fmt.Errorf("%w: no healthy shards after %d placements", ErrShardLost, job.attempts)
+	case c.retryBudget != nil && !c.retryBudget.TryTake():
+		// No budget: failing one job beats letting correlated failures
+		// multiply traffic against an already-struggling fleet.
+		c.mBudgetDenied.Inc()
+		fail = fmt.Errorf("%w: retry budget exhausted after %d placements", ErrShardLost, job.attempts)
+	}
+	if countAttempt && c.retryBudget != nil {
+		c.gBudgetTokens.Set(c.retryBudget.Tokens())
+	}
+	if fail != nil {
+		c.finishLocked(job, service.StateFailed, fail)
 		c.mu.Unlock()
-		c.kickDispatch()
 		return
 	}
 	var delay time.Duration
 	if countAttempt {
-		if c.retryBudget != nil && !c.retryBudget.TryTake() {
-			// No budget: failing one job beats letting correlated failures
-			// multiply traffic against an already-struggling fleet.
-			c.mBudgetDenied.Inc()
-			c.gBudgetTokens.Set(c.retryBudget.Tokens())
-			c.finishLocked(job, service.StateFailed,
-				fmt.Errorf("%w: retry budget exhausted after %d placements", ErrShardLost, job.attempts))
-			c.mu.Unlock()
-			c.kickDispatch()
-			return
-		}
-		if c.retryBudget != nil {
-			c.gBudgetTokens.Set(c.retryBudget.Tokens())
-		}
 		c.mRerouted.Inc()
 		delay = c.backoff.Next(job.backoffPrev)
 		job.backoffPrev = delay
 	}
-	job.state = service.StateQueued
+	job.State = service.StateQueued
 	job.shard = nil
 	job.shardID = ""
 	c.mu.Unlock()
@@ -852,12 +796,11 @@ func (c *Cluster) requeue(job *Job, shard *Shard, countAttempt bool) {
 		}
 	}
 	c.mu.Lock()
-	if !job.state.Terminal() {
+	if !job.State.Terminal() {
 		c.queue.push(job)
 		c.syncQueueGauge()
 	}
 	c.mu.Unlock()
-	c.kickDispatch()
 }
 
 // releaseAndFinish releases the shard slot and moves the job to a
@@ -871,42 +814,25 @@ func (c *Cluster) releaseAndFinish(job *Job, shard *Shard, st service.State, err
 }
 
 // finishLocked moves a job to a terminal state exactly once and
-// settles the per-class accounting. Callers hold c.mu.
+// settles the router's own accounting: heap skip, retry-budget credit,
+// class latency and fairness. Callers hold c.mu.
 func (c *Cluster) finishLocked(job *Job, st service.State, err error) {
-	if job.state.Terminal() {
+	if !c.jobs.FinishLocked(job, st, err) {
 		return
 	}
-	job.state = st
-	job.err = err
-	job.finished = time.Now()
 	job.terminalQueued.Store(true)
-	close(job.done)
-	switch st {
-	case service.StateDone:
-		c.mDone.Inc()
-		service.ClassInc(c.mClassDone, job.class)
+	if st == service.StateDone {
+		if cs := c.classStats[job.Class]; cs != nil {
+			cs.completed++
+		}
 		if c.retryBudget != nil {
 			// Successes earn back retry slack.
 			c.retryBudget.Credit()
 			c.gBudgetTokens.Set(c.retryBudget.Tokens())
 		}
-	case service.StateCancelled:
-		c.mCancelled.Inc()
-		service.ClassInc(c.mClassCancelled, job.class)
-	default:
-		c.mFailed.Inc()
-		service.ClassInc(c.mClassFailed, job.class)
-		// Shard errors arrive as strings over HTTP, so the typed
-		// ErrDeadlineExceeded match is textual here.
-		if err != nil && strings.Contains(err.Error(), "deadline exceeded") {
-			service.ClassInc(c.mClassDeadline, job.class)
-		}
 	}
-	if h := c.hClass[job.class]; h != nil {
-		h.Observe(job.finished.Sub(job.submitted).Seconds())
-	}
-	if cs := c.classStats[job.class]; cs != nil && st == service.StateDone {
-		cs.completed++
+	if h := c.hClass[job.Class]; h != nil {
+		h.Observe(job.Finished.Sub(job.Submitted).Seconds())
 	}
 	c.updateJainLocked()
 }
@@ -1038,15 +964,15 @@ func errorBody(body []byte) string {
 }
 
 // Status returns a job's snapshot.
-func (c *Cluster) Status(id string) (JobStatus, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	job, ok := c.jobs[id]
-	if !ok {
-		return JobStatus{}, service.ErrNotFound
-	}
-	return c.statusLocked(job), nil
+func (c *Cluster) Status(id string) (JobStatus, error) { return c.jobs.Status(id) }
+
+// Wait blocks until the job reaches a terminal state or ctx expires.
+func (c *Cluster) Wait(ctx context.Context, id string) (JobStatus, error) {
+	return c.jobs.Wait(ctx, id)
 }
+
+// JobCount returns how many tracked jobs are in each state.
+func (c *Cluster) JobCount() map[service.State]int { return c.jobs.JobCount() }
 
 // Payload returns a done job's divQ payload (nil, with the job's
 // error, for every other state). The boolean reports whether the job
@@ -1054,31 +980,15 @@ func (c *Cluster) Status(id string) (JobStatus, error) {
 func (c *Cluster) Payload(id string) (*service.ResultPayload, JobStatus, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	job, ok := c.jobs[id]
-	if !ok {
-		return nil, JobStatus{}, false, service.ErrNotFound
+	job, err := c.jobs.LookupLocked(id)
+	if err != nil {
+		return nil, JobStatus{}, false, err
 	}
-	st := c.statusLocked(job)
-	if job.state != service.StateDone {
-		return nil, st, job.state.Terminal(), job.err
+	st := job.Snapshot()
+	if job.State != service.StateDone {
+		return nil, st, job.State.Terminal(), job.Err
 	}
 	return job.result, st, true, nil
-}
-
-// Wait blocks until the job reaches a terminal state or ctx expires.
-func (c *Cluster) Wait(ctx context.Context, id string) (JobStatus, error) {
-	c.mu.Lock()
-	job, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		return JobStatus{}, service.ErrNotFound
-	}
-	select {
-	case <-job.done:
-	case <-ctx.Done():
-		return JobStatus{}, ctx.Err()
-	}
-	return c.Status(id)
 }
 
 // Cancel stops a job. Queued jobs cancel immediately; dispatched jobs
@@ -1086,61 +996,38 @@ func (c *Cluster) Wait(ctx context.Context, id string) (JobStatus, error) {
 func (c *Cluster) Cancel(id string) (JobStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	job, ok := c.jobs[id]
-	if !ok {
-		return JobStatus{}, service.ErrNotFound
-	}
-	if job.state.Terminal() {
-		return c.statusLocked(job), service.ErrJobFinished
+	job, st, err := c.jobs.CancellableLocked(id)
+	if err != nil {
+		return st, err
 	}
 	job.cancelled = true
 	if job.shard == nil {
 		// Still queued router-side: terminal now; the heap skips it.
 		c.finishLocked(job, service.StateCancelled, context.Canceled)
 	}
-	return c.statusLocked(job), nil
+	return job.Snapshot(), nil
 }
 
-// statusLocked snapshots a job. Callers hold c.mu.
-func (c *Cluster) statusLocked(job *Job) JobStatus {
+// Snapshot is the job's status. Callers hold the cluster mutex.
+func (job *Job) Snapshot() JobStatus {
 	st := JobStatus{
-		ID: job.id, Key: job.key, Class: job.class, State: job.state,
+		ID: job.ID, Key: job.Key, Class: job.Class, State: job.State,
 		ShardJobID: job.shardID, Attempts: job.attempts,
-		EstCostSteps: job.costSteps, EstSeconds: job.cost, Submitted: job.submitted,
+		EstCostSteps: job.costSteps, EstSeconds: job.cost, Submitted: job.Submitted,
 		Rays: job.lastShard.Rays, Steps: job.lastShard.Steps,
-		FromCache: job.lastShard.FromCache,
+		FromCache: job.lastShard.FromCache, Error: job.ErrText(),
 	}
 	if job.shard != nil {
 		st.Shard = job.shard.Name()
 	}
-	st.QueueSeconds, st.RunSeconds = service.JobSeconds(job.submitted, job.started, job.finished)
-	if job.err != nil {
-		st.Error = job.err.Error()
-	}
+	st.QueueSeconds, st.RunSeconds = job.Seconds()
 	return st
-}
-
-// JobCount returns how many tracked jobs are in each state.
-func (c *Cluster) JobCount() map[service.State]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	counts := make(map[service.State]int, 5)
-	for _, j := range c.jobs {
-		counts[j.state]++
-	}
-	return counts
 }
 
 // HealthFields adds the routing policy and the healthy-shard count to
 // /healthz.
 func (c *Cluster) HealthFields() map[string]any {
-	up := 0
-	for _, s := range c.shards.Shards() {
-		if s.State() == ShardHealthy {
-			up++
-		}
-	}
-	return map[string]any{"policy": c.Policy(), "shards_up": up}
+	return map[string]any{"policy": c.Policy(), "shards_up": c.shards.Healthy()}
 }
 
 // Close stops dispatching and waits for the loops and watchers to
@@ -1148,12 +1035,11 @@ func (c *Cluster) HealthFields() map[string]any {
 // the router simply stops tracking them.
 func (c *Cluster) Close(ctx context.Context) error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	first := c.jobs.CloseLocked()
+	c.mu.Unlock()
+	if !first {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
 	c.cancel()
 	done := make(chan struct{})
 	go func() {

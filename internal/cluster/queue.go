@@ -98,7 +98,7 @@ func (h *jobHeap) Less(i, j int) bool {
 	a, b := h.jobs[i], h.jobs[j]
 	switch h.sched {
 	case SchedPriority:
-		if ra, rb := service.ClassRank(a.class), service.ClassRank(b.class); ra != rb {
+		if ra, rb := service.ClassRank(a.Class), service.ClassRank(b.Class); ra != rb {
 			return ra < rb
 		}
 	case SchedSJF:
@@ -106,7 +106,7 @@ func (h *jobHeap) Less(i, j int) bool {
 			return a.cost < b.cost
 		}
 	}
-	return a.seq < b.seq
+	return a.Seq < b.Seq
 }
 
 func (h *jobHeap) Swap(i, j int) { h.jobs[i], h.jobs[j] = h.jobs[j], h.jobs[i] }

@@ -8,7 +8,7 @@ import (
 )
 
 func queuedJob(seq int64, class string, cost float64) *Job {
-	return &Job{seq: seq, class: class, cost: cost}
+	return &Job{JobRecord: service.JobRecord{Seq: seq, Class: class}, cost: cost}
 }
 
 func popOrder(t *testing.T, q *dispatchQueue, n int) []int64 {
@@ -19,7 +19,7 @@ func popOrder(t *testing.T, q *dispatchQueue, n int) []int64 {
 		if j == nil {
 			t.Fatalf("queue empty after %d pops, want %d", i, n)
 		}
-		out = append(out, j.seq)
+		out = append(out, j.Seq)
 	}
 	return out
 }
@@ -73,10 +73,10 @@ func TestQueueSkipsTerminal(t *testing.T) {
 	q.push(b)
 	a.terminalQueued.Store(true)
 	if j := q.pop(); j != b {
-		t.Fatalf("pop returned seq %d, want the live job 2", j.seq)
+		t.Fatalf("pop returned seq %d, want the live job 2", j.Seq)
 	}
 	if j := q.pop(); j != nil {
-		t.Fatalf("pop returned seq %d, want nil (only a cancelled job remained)", j.seq)
+		t.Fatalf("pop returned seq %d, want nil (only a cancelled job remained)", j.Seq)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestJobDeadlineFailsTyped(t *testing.T) {
 	if n := m.mDeadline.Value(); n == 0 {
 		t.Error("deadline metric not incremented")
 	}
-	if n := m.mCancelled.Value(); n != 0 {
+	if n := m.jobs.mCancelled.Value(); n != 0 {
 		t.Errorf("deadline expiry recorded as %d cancellations", n)
 	}
 }

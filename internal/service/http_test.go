@@ -74,7 +74,7 @@ func pollUntil(t *testing.T, srv *httptest.Server, id string, want State) JobSta
 		if st.State == want {
 			return st
 		}
-		if st.State.terminal() {
+		if st.State.Terminal() {
 			t.Fatalf("job %s terminal in state %s (err %q) while polling for %s", id, st.State, st.Error, want)
 		}
 		time.Sleep(5 * time.Millisecond)

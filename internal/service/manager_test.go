@@ -41,7 +41,7 @@ func waitState(t *testing.T, m *Manager, id string, st State) {
 		if got.State == st {
 			return
 		}
-		if got.State.terminal() {
+		if got.State.Terminal() {
 			t.Fatalf("job %s reached terminal state %s while waiting for %s (err %q)", id, got.State, st, got.Error)
 		}
 		time.Sleep(2 * time.Millisecond)

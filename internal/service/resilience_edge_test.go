@@ -164,7 +164,7 @@ func TestE2EDeadlineHeader(t *testing.T) {
 	var final JobStatus
 	for {
 		final = getStatus(t, srv, st.ID)
-		if final.State.terminal() {
+		if final.State.Terminal() {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -315,7 +315,7 @@ func waitRunning(t *testing.T, m *Manager, id string) {
 		if st.State == StateRunning {
 			return
 		}
-		if st.State.terminal() {
+		if st.State.Terminal() {
 			t.Fatalf("job %s terminal in %s while waiting for running", id, st.State)
 		}
 		time.Sleep(2 * time.Millisecond)

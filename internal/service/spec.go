@@ -566,45 +566,16 @@ func (pr problem) solve(ctx context.Context, opts *rmcrt.Options, out *field.CC[
 // worker-pool body, but is exported so results can be recomputed
 // directly (the determinism tests do exactly that).
 func (s Spec) Solve(ctx context.Context) (divQ *field.CC[float64], rays, steps int64, err error) {
-	return s.SolveObserved(ctx, nil)
+	return s.SolveShared(ctx, nil, nil)
 }
 
-// SolveObserved is Solve with the tracing-engine metrics family
-// attached: tile, ray and step counts from every problem of this solve
-// land in tm (nil = unobserved, identical to Solve). Metrics are
-// side-channel only — divQ is bitwise independent of tm.
-func (s Spec) SolveObserved(ctx context.Context, tm *rmcrt.TraceMetrics) (divQ *field.CC[float64], rays, steps int64, err error) {
-	return s.SolveShared(ctx, tm, nil)
-}
-
-// SolveShared is SolveObserved with the packed property tables drawn
-// from the shared cache pc instead of packed privately per solve (nil
-// pc = private tables, identical to SolveObserved). Sharing is
+// SolveShared is Solve with the tracing-engine metrics family attached
+// (tile, ray and step counts land in tm; nil = unobserved) and the
+// packed property tables drawn from the shared cache pc instead of
+// packed privately per solve (nil = private tables). Both are
 // side-channel only: the tables are bit-copies of the same fields, so
-// divQ is bitwise independent of pc.
+// divQ is bitwise independent of tm and pc.
 func (s Spec) SolveShared(ctx context.Context, tm *rmcrt.TraceMetrics, pc *PackedCache) (divQ *field.CC[float64], rays, steps int64, err error) {
-	out, probs, err := s.problems()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	opts := s.Options()
-	n := s.Normalized()
-	for _, pr := range probs {
-		var release func()
-		if pc != nil {
-			if release, err = pc.attach(n, pr.domain); err != nil {
-				return nil, rays, steps, err
-			}
-		}
-		r, st, err := pr.solve(ctx, &opts, out, tm)
-		if release != nil {
-			release()
-		}
-		rays += r
-		steps += st
-		if err != nil {
-			return nil, rays, steps, err
-		}
-	}
-	return out, rays, steps, nil
+	divQ, rays, steps, _, err = s.SolveCheckpointed(ctx, CheckpointOptions{Trace: tm, Packed: pc})
+	return divQ, rays, steps, err
 }
