@@ -306,7 +306,7 @@ func BenchmarkSpectralTwoBand(b *testing.B) {
 	region := rmcrt.Box{Lo: rmcrt.IV(8, 8, 8), Hi: rmcrt.IV(9, 9, 9)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sd.SolveRegionSpectral(region, &opts); err != nil {
+		if _, err := sd.SolveRegionSpectral(context.Background(), region, &opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -336,7 +336,7 @@ func BenchmarkWallFluxMap(b *testing.B) {
 	opts.NRays = 16
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.SolveWallFluxMap(rmcrt.ZMinus, &opts); err != nil {
+		if _, err := d.SolveWallFluxMap(context.Background(), rmcrt.ZMinus, &opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -102,7 +103,7 @@ func main() {
 	opts.NRays = 4 * *rays
 	opts.WallSigmaT4 = rmcrt.SigmaSB * math.Pow(*wallTemp, 4)
 	for _, f := range []rmcrt.WallFace{rmcrt.XMinus, rmcrt.YMinus, rmcrt.ZMinus} {
-		q, err := d.SolveWallFlux(f, &opts)
+		q, err := d.SolveWallFlux(context.Background(), f, &opts)
 		if err != nil {
 			fatal(err)
 		}

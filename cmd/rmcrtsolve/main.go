@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -77,7 +78,7 @@ func runSingle(n int, opts rmcrt.Options, withDOM, withP1 bool) {
 	fmt.Printf("# Burns & Christon benchmark, single level %d^3, %d rays/cell\n", n, opts.NRays)
 
 	start := time.Now()
-	divQ, err := d.SolveRegion(lvl.IndexBox(), &opts)
+	divQ, err := d.SolveRegionCtx(context.Background(), lvl.IndexBox(), &opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -134,7 +135,7 @@ func runSingle(n int, opts rmcrt.Options, withDOM, withP1 bool) {
 	}
 
 	for _, f := range []rmcrt.WallFace{rmcrt.XMinus, rmcrt.YMinus, rmcrt.ZMinus} {
-		q, err := d.SolveWallFlux(f, &opts)
+		q, err := d.SolveWallFlux(context.Background(), f, &opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -149,7 +150,7 @@ func runSingle(n int, opts rmcrt.Options, withDOM, withP1 bool) {
 			{Pos: mathutil.V3(0.5, 0.02, 0.5), Dir: mathutil.V3(0, 1, 0), HalfAngle: 0.2},
 			{Pos: mathutil.V3(0.5, 0.5, 0.98), Dir: mathutil.V3(0, 0, -1), HalfAngle: 0.2},
 		} {
-			rd, err := d.SolveRadiometer(r, &opts)
+			rd, err := d.SolveRadiometer(context.Background(), r, &opts)
 			if err != nil {
 				fatal(err)
 			}
@@ -196,7 +197,7 @@ func runMulti(fineN, patchN int, opts rmcrt.Options) {
 		if err != nil {
 			fatal(err)
 		}
-		out, err := d.SolveRegion(p.Cells, &opts)
+		out, err := d.SolveRegionCtx(context.Background(), p.Cells, &opts)
 		if err != nil {
 			fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -35,7 +36,7 @@ func main() {
 	var side *rmcrt.FluxMap
 	for _, f := range []rmcrt.WallFace{rmcrt.XMinus, rmcrt.XPlus, rmcrt.YMinus,
 		rmcrt.YPlus, rmcrt.ZMinus, rmcrt.ZPlus} {
-		fm, err := dom.SolveWallFluxMap(f, &opts)
+		fm, err := dom.SolveWallFluxMap(context.Background(), f, &opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func main() {
 	}
 
 	// Solve divQ over the interior and archive it UDA-style.
-	divQ, err := dom.SolveRegion(lvl.IndexBox(), &opts)
+	divQ, err := dom.SolveRegionCtx(context.Background(), lvl.IndexBox(), &opts)
 	if err != nil {
 		log.Fatal(err)
 	}

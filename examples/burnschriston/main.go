@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -34,7 +35,7 @@ func main() {
 	ref := rmcrt.DefaultOptions()
 	ref.NRays = 8192
 	ref.Seed = 12345
-	refV, err := dom.SolveRegion(line, &ref)
+	refV, err := dom.SolveRegionCtx(context.Background(), line, &ref)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func main() {
 	for _, nr := range []int{16, 32, 64, 128, 256, 512, 1024} {
 		o := rmcrt.DefaultOptions()
 		o.NRays = nr
-		v, err := dom.SolveRegion(line, &o)
+		v, err := dom.SolveRegionCtx(context.Background(), line, &o)
 		if err != nil {
 			log.Fatal(err)
 		}

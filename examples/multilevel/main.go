@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -39,7 +40,7 @@ func main() {
 	}
 	fineLvl := gs.Levels[0]
 	t0 := time.Now()
-	ref, err := single.SolveRegion(fineLvl.IndexBox(), &opts)
+	ref, err := single.SolveRegionCtx(context.Background(), fineLvl.IndexBox(), &opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, err := dom.SolveRegion(p.Cells, &opts)
+		out, err := dom.SolveRegionCtx(context.Background(), p.Cells, &opts)
 		if err != nil {
 			log.Fatal(err)
 		}

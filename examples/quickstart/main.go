@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 	opts := rmcrt.DefaultOptions()
 	opts.NRays = 64
 
-	divQ, err := dom.SolveRegion(lvl.IndexBox(), &opts)
+	divQ, err := dom.SolveRegionCtx(context.Background(), lvl.IndexBox(), &opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,12 +3,14 @@ package rmcrt
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
 
 	"github.com/uintah-repro/rmcrt/internal/field"
 	"github.com/uintah-repro/rmcrt/internal/grid"
+	"github.com/uintah-repro/rmcrt/internal/mathutil"
 	"github.com/uintah-repro/rmcrt/internal/metrics"
 )
 
@@ -30,18 +32,19 @@ func TestTileEngineBitwiseVsSeed(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		levels int
+		tile   int
 		mod    func(o *Options)
 	}{
-		{"default", 1, func(o *Options) {}},
-		{"stratified", 1, func(o *Options) { o.Stratified = true }},
-		{"greyWallsReflecting", 1, func(o *Options) {
+		{"default", 1, 0, func(o *Options) {}},
+		{"stratified", 1, 0, func(o *Options) { o.Stratified = true }},
+		{"greyWallsReflecting", 1, 0, func(o *Options) {
 			o.WallEmissivity = 0.7
 			o.WallSigmaT4 = 0.4
 			o.Reflections = true
 		}},
-		{"scattering", 1, func(o *Options) { o.ScatterCoeff = 0.5 }},
-		{"tile3", 1, func(o *Options) { o.TileSize = 3 }},
-		{"multiLevelScattering", 2, func(o *Options) { o.ScatterCoeff = 0.5 }},
+		{"scattering", 1, 0, func(o *Options) { o.ScatterCoeff = 0.5 }},
+		{"tile3", 1, 3, func(o *Options) {}},
+		{"multiLevelScattering", 2, 0, func(o *Options) { o.ScatterCoeff = 0.5 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			atEachGOMAXPROCS(t, func(t *testing.T) {
@@ -67,7 +70,7 @@ func TestTileEngineBitwiseVsSeed(t *testing.T) {
 				opts := DefaultOptions()
 				opts.NRays = 6
 				tc.mod(&opts)
-				solveSeedBitwise(t, d, region, opts, "tile vs seed")
+				solveSeedBitwise(t, d, region, opts, tc.tile, "tile vs seed")
 			})
 		})
 	}
@@ -99,9 +102,12 @@ func TestTileEngineBitwiseVsSeedMultiLevel(t *testing.T) {
 	}
 }
 
-// TestBitwiseAcrossGOMAXPROCS runs the same solve at GOMAXPROCS 1, 4
-// and 16 and demands bit-identical divQ — the decomposition-invariance
-// guarantee the per-cell RNG streams buy, now at tile granularity.
+// TestBitwiseAcrossGOMAXPROCS runs the same queries at GOMAXPROCS 1, 4
+// and 16 and demands bit-identical results — the decomposition-invariance
+// guarantee the per-cell (and per-face-cell) RNG streams buy. The region
+// solve hands out tiles, the wall flux map face rows, and the scattering
+// spectral solve one fan-out per band; the order in which workers claim
+// them must not reach the numbers.
 func TestBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	d, _, err := NewBenchmarkDomain(12)
 	if err != nil {
@@ -109,23 +115,58 @@ func TestBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.NRays = 6
+	scatter := opts
+	scatter.ScatterCoeff = 0.5
 	region := d.finest().ROI
+	ctx := context.Background()
 
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-
-	var ref *field.CC[float64]
-	for _, procs := range []int{1, 4, 16} {
-		runtime.GOMAXPROCS(procs)
-		out, err := d.SolveRegion(region, &opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = out
-			continue
-		}
-		assertBitwiseEqual(t, region, ref, out, "GOMAXPROCS sweep")
+	for _, tc := range []struct {
+		name string
+		run  func() ([]float64, error)
+	}{
+		{"region", func() ([]float64, error) {
+			out, err := d.SolveRegionCtx(ctx, region, &opts)
+			if err != nil {
+				return nil, err
+			}
+			return out.Data(), nil
+		}},
+		{"wallfluxmap", func() ([]float64, error) {
+			fm, err := d.SolveWallFluxMap(ctx, XMinus, &scatter)
+			if err != nil {
+				return nil, err
+			}
+			return fm.Q, nil
+		}},
+		{"spectral-scatter", func() ([]float64, error) {
+			out, err := fourBand(d).SolveRegionSpectral(ctx, region, &scatter)
+			if err != nil {
+				return nil, err
+			}
+			return out.Data(), nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old := runtime.GOMAXPROCS(0)
+			defer runtime.GOMAXPROCS(old)
+			var ref []float64
+			for _, procs := range []int{1, 4, 16} {
+				runtime.GOMAXPROCS(procs)
+				got, err := tc.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = got
+					continue
+				}
+				for i := range ref {
+					if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("GOMAXPROCS=%d: value %d is %v, want %v", procs, i, got[i], ref[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -149,7 +190,7 @@ func TestThinRegionParallelism(t *testing.T) {
 		grid.NewBox(grid.IV(8, 8, 8), grid.IV(16, 16, 16)), // one 8³ tile
 	} {
 		runtime.GOMAXPROCS(1)
-		serial, st1, err := d.solveRegionTiled(context.Background(), region, &opts, nil)
+		serial, st1, err := d.solveRegion(context.Background(), region, &opts, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +199,7 @@ func TestThinRegionParallelism(t *testing.T) {
 		}
 
 		runtime.GOMAXPROCS(4)
-		par, st4, err := d.solveRegionTiled(context.Background(), region, &opts, nil)
+		par, st4, err := d.solveRegion(context.Background(), region, &opts, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,27 +223,64 @@ func (r *racyContext) Err() error                  { return nil }
 func (r *racyContext) Value(any) any               { return nil }
 
 // TestCancelledNeverReturnsNilNil is the regression test for the
-// (nil, nil) bug: with a context whose Done is closed but whose Err
-// races to nil, the solve must still return a non-nil error.
+// (nil, nil) bug, run over every engine entry point: with a context
+// whose Done is closed but whose Err races to nil, each query must still
+// return context.Canceled and no result.
 func TestCancelledNeverReturnsNilNil(t *testing.T) {
-	d, _, err := NewBenchmarkDomain(12)
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := DefaultOptions()
 	opts.NRays = 2
-	ctx := &racyContext{done: make(chan struct{})}
-	close(ctx.done)
+	scatter := opts
+	scatter.ScatterCoeff = 0.5
+	meter := Radiometer{Pos: mathutil.V3(0.5, 0.5, 0.5), Dir: mathutil.V3(0, 0, 1), HalfAngle: 0.4}
 
-	out, err := d.SolveRegionCtx(ctx, d.finest().ROI, &opts)
-	if out != nil {
-		t.Fatal("cancelled solve returned a result")
-	}
-	if err == nil {
-		t.Fatal("cancelled solve returned (nil, nil)")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled solve returned %v, want context.Canceled", err)
+	// Each query reports whether it returned a result at all.
+	for _, tc := range []struct {
+		name  string
+		query func(ctx context.Context, d *Domain) (bool, error)
+	}{
+		{"region", func(ctx context.Context, d *Domain) (bool, error) {
+			out, err := d.SolveRegionCtx(ctx, d.finest().ROI, &opts)
+			return out != nil, err
+		}},
+		{"spectral-fused", func(ctx context.Context, d *Domain) (bool, error) {
+			out, err := fourBand(d).SolveRegionSpectral(ctx, d.finest().ROI, &opts)
+			return out != nil, err
+		}},
+		{"spectral-scatter", func(ctx context.Context, d *Domain) (bool, error) {
+			out, err := fourBand(d).SolveRegionSpectral(ctx, d.finest().ROI, &scatter)
+			return out != nil, err
+		}},
+		{"wallflux", func(ctx context.Context, d *Domain) (bool, error) {
+			q, err := d.SolveWallFlux(ctx, XMinus, &opts)
+			return q != 0, err
+		}},
+		{"wallfluxmap", func(ctx context.Context, d *Domain) (bool, error) {
+			fm, err := d.SolveWallFluxMap(ctx, XMinus, &opts)
+			return fm != nil, err
+		}},
+		{"radiometer", func(ctx context.Context, d *Domain) (bool, error) {
+			rd, err := d.SolveRadiometer(ctx, meter, &opts)
+			return rd != (RadiometerReading{}), err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, _, err := NewBenchmarkDomain(12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &racyContext{done: make(chan struct{})}
+			close(ctx.done)
+			got, err := tc.query(ctx, d)
+			if got {
+				t.Fatal("cancelled query returned a result")
+			}
+			if err == nil {
+				t.Fatal("cancelled query returned no error")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled query returned %v, want context.Canceled", err)
+			}
+		})
 	}
 }
 
@@ -251,10 +329,9 @@ func TestTraceMetricsFamily(t *testing.T) {
 	d.Metrics = NewTraceMetrics(reg)
 	opts := DefaultOptions()
 	opts.NRays = 2
-	opts.TileSize = 6
 
 	region := d.finest().ROI
-	out, stats, err := d.solveRegionTiled(context.Background(), region, &opts, nil)
+	out, stats, err := d.solveRegion(context.Background(), region, &opts, nil, 6)
 	if err != nil || out == nil {
 		t.Fatalf("solve failed: %v", err)
 	}
@@ -285,11 +362,10 @@ func TestTileSizeInvariance(t *testing.T) {
 	}
 	region := d.finest().ROI
 	var ref *field.CC[float64]
+	opts := DefaultOptions()
+	opts.NRays = 3
 	for _, tile := range []int{1, 3, 7, 10, 64} {
-		opts := DefaultOptions()
-		opts.NRays = 3
-		opts.TileSize = tile
-		out, err := d.SolveRegion(region, &opts)
+		out, _, err := d.solveRegion(context.Background(), region, &opts, nil, tile)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package rmcrt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -82,11 +83,11 @@ func TestBoilerRadiationPhysics(t *testing.T) {
 	// Wall fluxes: the furnace bottom (z-) faces the flame directly and
 	// must receive more than the roof (z+), which is screened by the
 	// tube banks.
-	qBottom, err := d.SolveWallFlux(ZMinus, &opts)
+	qBottom, err := d.SolveWallFlux(context.Background(), ZMinus, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qRoof, err := d.SolveWallFlux(ZPlus, &opts)
+	qRoof, err := d.SolveWallFlux(context.Background(), ZPlus, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}

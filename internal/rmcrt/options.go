@@ -65,12 +65,6 @@ type Options struct {
 	// MaxSteps bounds the DDA loop as a safety net against degenerate
 	// directions; 0 means a generous default.
 	MaxSteps int
-	// TileSize is the edge length of the cubic work tiles the region
-	// solver schedules across workers; 0 means the default (8, halved
-	// while the region has fewer tiles than workers). Results are
-	// bitwise independent of the tile size — it only shapes scheduling
-	// granularity.
-	TileSize int
 	// AdaptiveRelTol, when positive, enables adaptive per-cell ray
 	// budgets (ARC-style): each cell starts at AdaptiveMinRays rays and
 	// is topped up in doubling waves until the relative standard error
@@ -130,8 +124,6 @@ func (o Options) validate() error {
 		return errOpt("ScatterCoeff must be non-negative")
 	case o.HaloCells < 0:
 		return errOpt("HaloCells must be non-negative")
-	case o.TileSize < 0:
-		return errOpt("TileSize must be non-negative")
 	case o.AdaptiveRelTol < 0:
 		return errOpt("AdaptiveRelTol must be non-negative")
 	case o.AdaptiveMinRays < 0 || o.AdaptiveMaxRays < 0:
@@ -166,19 +158,6 @@ func (o Options) adaptiveBudget() (minRays, maxRays int) {
 		minRays = maxRays
 	}
 	return minRays, maxRays
-}
-
-// defaultTileSize is the work-tile edge used when Options.TileSize is
-// zero: 8³ = 512 cells per tile keeps scheduling overhead negligible
-// (one atomic fetch-add per ~512·NRays ray marches) while giving even a
-// 32³ region 64 tiles to balance across workers.
-const defaultTileSize = 8
-
-func (o Options) tileSize() int {
-	if o.TileSize > 0 {
-		return o.TileSize
-	}
-	return defaultTileSize
 }
 
 type optErr string

@@ -57,27 +57,10 @@ type RadiometerReading struct {
 
 // SolveRadiometer evaluates the instrument with opts.NRays rays
 // sampled uniformly over the view cone (deterministic given the seed
-// and the instrument definition).
-func (d *Domain) SolveRadiometer(r Radiometer, opts *Options) (RadiometerReading, error) {
-	return d.SolveRadiometerCtx(context.Background(), r, opts)
-}
-
-// SolveRadiometerCtx is SolveRadiometer with cooperative cancellation
-// under the SolveRegionCtx contract: ctx is polled between rays (each
-// a bounded march), cancellation stops the instrument promptly with a
-// guaranteed non-nil error, and partial ray/step tallies still merge
-// into the Domain counters.
-func (d *Domain) SolveRadiometerCtx(ctx context.Context, r Radiometer, opts *Options) (RadiometerReading, error) {
-	if err := opts.validate(); err != nil {
-		return RadiometerReading{}, err
-	}
-	if err := r.Validate(); err != nil {
-		return RadiometerReading{}, err
-	}
-	if err := d.Validate(); err != nil {
-		return RadiometerReading{}, err
-	}
-	if err := ctx.Err(); err != nil {
+// and the instrument definition). Cancellation follows the
+// SolveRegionCtx contract; ctx is polled between rays.
+func (d *Domain) SolveRadiometer(ctx context.Context, r Radiometer, opts *Options) (RadiometerReading, error) {
+	if err := begin(ctx, opts, r, d); err != nil {
 		return RadiometerReading{}, err
 	}
 	// Instrument streams live in the tagged non-cell namespace

@@ -1,6 +1,7 @@
 package rmcrt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestRadiometerSeesHotWall(t *testing.T) {
 	opts.WallEmissivity = 1
 
 	hot := Radiometer{Pos: mathutil.V3(0.3, 0.5, 0.5), Dir: mathutil.V3(1, 0, 0), HalfAngle: 0.3}
-	r1, err := d.SolveRadiometer(hot, &opts)
+	r1, err := d.SolveRadiometer(context.Background(), hot, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestRadiometerSeesHotWall(t *testing.T) {
 	}
 	cold := hot
 	cold.Dir = mathutil.V3(-1, 0, 0)
-	r2, err := d.SolveRadiometer(cold, &opts)
+	r2, err := d.SolveRadiometer(context.Background(), cold, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestRadiometerFluxLimits(t *testing.T) {
 	ib := sigT4 / math.Pi
 
 	hemi := Radiometer{Pos: mathutil.V3(0.5, 0.5, 0.5), Dir: mathutil.V3(0, 0, 1), HalfAngle: math.Pi / 2}
-	r, err := d.SolveRadiometer(hemi, &opts)
+	r, err := d.SolveRadiometer(context.Background(), hemi, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRadiometerFluxLimits(t *testing.T) {
 
 	narrow := hemi
 	narrow.HalfAngle = 0.1
-	rn, err := d.SolveRadiometer(narrow, &opts)
+	rn, err := d.SolveRadiometer(context.Background(), narrow, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestRadiometerValidation(t *testing.T) {
 		{Pos: mathutil.V3(0.5, 0.5, 0.5), Dir: mathutil.V3(1, 0, 0), HalfAngle: 2},   // > pi/2
 	}
 	for i, r := range bad {
-		if _, err := d.SolveRadiometer(r, &opts); err == nil {
+		if _, err := d.SolveRadiometer(context.Background(), r, &opts); err == nil {
 			t.Errorf("case %d: invalid radiometer accepted", i)
 		}
 	}
@@ -113,11 +114,11 @@ func TestRadiometerDeterministic(t *testing.T) {
 	opts := DefaultOptions()
 	opts.NRays = 32
 	r := Radiometer{Pos: mathutil.V3(0.4, 0.6, 0.5), Dir: mathutil.V3(0, 1, 0), HalfAngle: 0.4}
-	a, err := d1.SolveRadiometer(r, &opts)
+	a, err := d1.SolveRadiometer(context.Background(), r, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d2.SolveRadiometer(r, &opts)
+	b, err := d2.SolveRadiometer(context.Background(), r, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,20 +21,30 @@ func (d *Domain) SolveCell(c grid.IntVector, opts *Options) float64 {
 	return divQ
 }
 
-// SolveRegion computes divQ for every flow cell in region (finest-level
-// indices) into a new variable windowed on region. Opaque cells get 0.
-// Work is tile-scheduled across GOMAXPROCS goroutines (see engine.go);
-// determinism is unaffected because every cell has its own RNG stream.
-func (d *Domain) SolveRegion(region grid.Box, opts *Options) (*field.CC[float64], error) {
-	return d.SolveRegionCtx(context.Background(), region, opts)
+// SolveRegionCtx computes divQ for every flow cell in region
+// (finest-level indices) into a new variable windowed on region. Opaque
+// cells get 0. Work is tile-scheduled across GOMAXPROCS goroutines (see
+// engine.go); determinism is unaffected because every cell has its own
+// RNG stream.
+//
+// Cancellation is cooperative and shared by every engine query: workers
+// poll ctx between cells (or between rays, for the instrument queries),
+// the call returns promptly once ctx is cancelled with a guaranteed
+// non-nil error, partial results are discarded, and partial ray and step
+// tallies still merge into the Domain counters.
+func (d *Domain) SolveRegionCtx(ctx context.Context, region grid.Box, opts *Options) (*field.CC[float64], error) {
+	if err := begin(ctx, opts, d); err != nil {
+		return nil, err
+	}
+	out, _, err := d.solveRegion(ctx, region, opts, nil, 0)
+	return out, err
 }
 
-// SolveRegionCtx is SolveRegion with cooperative cancellation: workers
-// poll ctx between cells and the call returns a non-nil error promptly
-// once the context is cancelled, discarding partial results.
-func (d *Domain) SolveRegionCtx(ctx context.Context, region grid.Box, opts *Options) (*field.CC[float64], error) {
-	out, _, err := d.solveRegionTiled(ctx, region, opts, nil)
-	return out, err
+// SolveRegion is SolveRegionCtx without a context. It stays only
+// because the end-to-end benchmark in e2ebench compiles against it;
+// new code calls SolveRegionCtx.
+func (d *Domain) SolveRegion(region grid.Box, opts *Options) (*field.CC[float64], error) {
+	return d.SolveRegionCtx(context.Background(), region, opts)
 }
 
 // Boundary flux -------------------------------------------------------
@@ -81,23 +91,11 @@ func (f WallFace) normal() mathutil.Vec3 {
 // surrounding walls" that boiler design cares about:
 //
 //	q_in = ∫_{2π} I cosθ dΩ  ≈  π · mean(sumI)   (cosine-weighted MC)
-func (d *Domain) SolveWallFlux(face WallFace, opts *Options) (float64, error) {
-	return d.SolveWallFluxCtx(context.Background(), face, opts)
-}
-
-// SolveWallFluxCtx is SolveWallFlux with cooperative cancellation
-// under the same contract as SolveRegionCtx: the trace loop polls ctx
-// between rays (each ray is a bounded march), stops promptly once it
-// is cancelled, and returns a guaranteed non-nil error. Partial ray
-// and step tallies are still merged into the Domain counters.
-func (d *Domain) SolveWallFluxCtx(ctx context.Context, face WallFace, opts *Options) (float64, error) {
-	if err := opts.validate(); err != nil {
-		return 0, err
-	}
-	if err := d.Validate(); err != nil {
-		return 0, err
-	}
-	if err := ctx.Err(); err != nil {
+//
+// Cancellation follows the SolveRegionCtx contract; ctx is polled
+// between rays.
+func (d *Domain) SolveWallFlux(ctx context.Context, face WallFace, opts *Options) (float64, error) {
+	if err := begin(ctx, opts, d); err != nil {
 		return 0, err
 	}
 	ld := d.finest()

@@ -40,7 +40,7 @@ func TestSpectralHalfBandsEqualGray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := halfBandSpectral(d).SolveRegionSpectral(region, &opts)
+	spec, err := halfBandSpectral(d).SolveRegionSpectral(context.Background(), region, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSpectralHalfBandsEqualGrayMultiLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := halfBandSpectral(d).SolveRegionSpectral(p.Cells, &opts)
+	spec, err := halfBandSpectral(d).SolveRegionSpectral(context.Background(), p.Cells, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSpectralScatterOneBandEqualsGray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := NewGrayAsSpectral(d).SolveRegionSpectral(region, &opts)
+	spec, err := NewGrayAsSpectral(d).SolveRegionSpectral(context.Background(), region, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,13 +120,13 @@ func TestSpectralCtxCancelled(t *testing.T) {
 	region := grid.NewBox(grid.IV(2, 2, 2), grid.IV(6, 6, 6))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := sd.SolveRegionSpectralCtx(ctx, region, &opts)
+	out, err := sd.SolveRegionSpectral(ctx, region, &opts)
 	if out != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled spectral solve returned (%v, %v), want (nil, Canceled)", out, err)
 	}
 	// The scattering fallback honours the same contract.
 	opts.ScatterCoeff = 0.5
-	out, err = sd.SolveRegionSpectralCtx(ctx, region, &opts)
+	out, err = sd.SolveRegionSpectral(ctx, region, &opts)
 	if out != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled scattering spectral solve returned (%v, %v), want (nil, Canceled)", out, err)
 	}
@@ -142,7 +142,7 @@ func TestSpectralAdaptiveRejected(t *testing.T) {
 	opts.AdaptiveRelTol = 0.05
 	opts.AdaptiveMaxRays = 64
 	region := grid.NewBox(grid.IV(2, 2, 2), grid.IV(6, 6, 6))
-	if _, err := sd.SolveRegionSpectral(region, &opts); err == nil {
+	if _, err := sd.SolveRegionSpectral(context.Background(), region, &opts); err == nil {
 		t.Fatal("adaptive spectral solve accepted, want validation error")
 	}
 }

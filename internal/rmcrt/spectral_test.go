@@ -1,6 +1,7 @@
 package rmcrt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestSpectralOneBandEqualsGray(t *testing.T) {
 		t.Fatal(err)
 	}
 	sd := NewGrayAsSpectral(d)
-	spec, err := sd.SolveRegionSpectral(region, &opts)
+	spec, err := sd.SolveRegionSpectral(context.Background(), region, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestSpectralEquilibrium(t *testing.T) {
 	opts.WallEmissivity = 1
 	opts.WallSigmaT4 = 1
 	region := grid.NewBox(grid.IV(4, 4, 4), grid.IV(5, 5, 5))
-	out, err := sd.SolveRegionSpectral(region, &opts)
+	out, err := sd.SolveRegionSpectral(context.Background(), region, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestSpectralWindowBandCools(t *testing.T) {
 	opts.NRays = 128
 	region := grid.NewBox(grid.IV(5, 5, 5), grid.IV(6, 6, 6))
 
-	spec, err := sd.SolveRegionSpectral(region, &opts)
+	spec, err := sd.SolveRegionSpectral(context.Background(), region, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestSpectralValidation(t *testing.T) {
 	region := d.Levels[0].Level.IndexBox()
 
 	bad := &SpectralDomain{}
-	if _, err := bad.SolveRegionSpectral(region, &opts); err == nil {
+	if _, err := bad.SolveRegionSpectral(context.Background(), region, &opts); err == nil {
 		t.Error("empty spectral domain accepted")
 	}
 	// Fractions not summing to 1.
@@ -137,7 +138,7 @@ func TestSpectralValidation(t *testing.T) {
 		{Name: "a", Abskg: k, EmissiveFraction: 0.5},
 		{Name: "b", Abskg: k, EmissiveFraction: 0.2},
 	}}}
-	if _, err := sd.SolveRegionSpectral(region, &opts); err == nil {
+	if _, err := sd.SolveRegionSpectral(context.Background(), region, &opts); err == nil {
 		t.Error("bad emissive fractions accepted")
 	}
 	// Mismatched band counts across levels.
@@ -175,7 +176,7 @@ func TestSpectralMultiLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := NewGrayAsSpectral(d).SolveRegionSpectral(p.Cells, &opts)
+	spec, err := NewGrayAsSpectral(d).SolveRegionSpectral(context.Background(), p.Cells, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,24 +169,3 @@ func TestValidateRejectsOutOfRangeROI(t *testing.T) {
 		})
 	}
 }
-
-// TestOptionsValidateTileSize checks the TileSize knob's validation and
-// default.
-func TestOptionsValidateTileSize(t *testing.T) {
-	o := DefaultOptions()
-	o.TileSize = -1
-	if err := o.validate(); err == nil {
-		t.Error("validate accepted negative TileSize")
-	}
-	o.TileSize = 0
-	if err := o.validate(); err != nil {
-		t.Errorf("zero TileSize should be valid (default): %v", err)
-	}
-	if got := o.tileSize(); got != defaultTileSize {
-		t.Errorf("tileSize() = %d, want default %d", got, defaultTileSize)
-	}
-	o.TileSize = 4
-	if got := o.tileSize(); got != 4 {
-		t.Errorf("tileSize() = %d, want 4", got)
-	}
-}

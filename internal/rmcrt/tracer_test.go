@@ -1,6 +1,7 @@
 package rmcrt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -317,7 +318,7 @@ func TestWallFluxBlackbodyLimit(t *testing.T) {
 	d := uniformDomain(t, 8, 200, 1.0)
 	opts := DefaultOptions()
 	opts.NRays = 256
-	q, err := d.SolveWallFlux(XMinus, &opts)
+	q, err := d.SolveWallFlux(context.Background(), XMinus, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestWallFluxColdMedium(t *testing.T) {
 	d := uniformDomain(t, 8, 1e-9, 0)
 	opts := DefaultOptions()
 	opts.NRays = 64
-	q, err := d.SolveWallFlux(ZPlus, &opts)
+	q, err := d.SolveWallFlux(context.Background(), ZPlus, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}

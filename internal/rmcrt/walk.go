@@ -22,12 +22,14 @@ import (
 // select for the crossed axis, an unsigned ROI gate, and a flat index
 // into the packed tables (packed.go) advanced by one stride add per
 // step. There are two loops: the gray loop carries τ, e^{−τ} and sumI in
-// registers and treats a scattering event as a slow event; the K-band
-// loop of fused spectral solves advances one geometric cursor for all
-// bands. Slow events — the enclosure wall, a level drop, an opaque cell,
-// specular reflection — leave the loop for one cold tail that works on
-// the walker's band state (a gray ray is band 0 of 1) with the same
-// Vec3/grid helper calls as the seed tracer.
+// registers; the K-band loop of spectral solves advances one geometric
+// cursor for all bands. Both treat a scattering event as a slow event
+// handled inside the loop (partial segment, redirect, restart); spectral
+// solves with scattering walk one band at a time, so a redirect never
+// spans bands. The other slow events — the enclosure wall, a level drop,
+// an opaque cell, specular reflection — leave the loop for one cold tail
+// that works on the walker's band state (a gray ray is band 0 of 1) with
+// the same Vec3/grid helper calls as the seed tracer.
 //
 // A wavefront of rays marched in lockstep passes bought nothing over
 // this: its coherence argument belongs to SIMT hardware, and on a CPU
@@ -247,8 +249,8 @@ func frac(x float64) float64 { return x - math.Floor(x) }
 
 // trace marches one ray from origin along dir, starting on the finest
 // level, to termination. It leaves each band's incoming intensity in
-// bands[k].sum and returns band 0's. rng supplies a gray ray's
-// scattering draws; nil disables scattering.
+// bands[k].sum and returns band 0's. rng supplies the scattering draws;
+// nil disables scattering.
 func (w *walker) trace(origin, dir mathutil.Vec3, rng *mathutil.RNG) float64 {
 	w.cnt.rays++
 	li := len(w.d.Levels) - 1
@@ -260,16 +262,26 @@ func (w *walker) trace(origin, dir mathutil.Vec3, rng *mathutil.RNG) float64 {
 		b.tau, b.trans, b.sum, b.frozen = 0, 1, 0, false
 	}
 	w.alive = len(w.bands)
-	if w.sh != nil {
-		w.marchBands(&r)
-		return w.bands[0].sum
-	}
 	scatterT := math.Inf(1)
 	if w.tc.scatterCoeff > 0 && rng != nil {
 		scatterT = sampleScatterDistance(rng, w.tc.scatterCoeff)
 	}
-	w.marchGray(&r, rng, scatterT)
+	if w.sh != nil {
+		w.marchBands(&r, rng, scatterT)
+	} else {
+		w.marchGray(&r, rng, scatterT)
+	}
 	return w.bands[0].sum
+}
+
+// redirect restarts r isotropically from its scattering point, scatterT
+// along it inside cell cc. One scattering generation keeps variance
+// bounded, so the caller's next scattering distance is +Inf.
+func (w *walker) redirect(r *ray, cc [4]int, scatterT float64, rng *mathutil.RNG) {
+	p := r.origin.Add(r.dir.Scale(scatterT))
+	r.dir = rng.UnitSphere()
+	r.origin, r.tcur = p, 0
+	w.start(r, r.li, grid.IV(cc[0], cc[1], cc[2]), p, 0)
 }
 
 // marchGray is the gray step loop. Per step it picks the crossed axis,
@@ -351,15 +363,12 @@ func (w *walker) marchGray(r *ray, rng *mathutil.RNG, scatterT float64) {
 		case evScatter:
 			// Isotropic scattering inside this cell: accumulate the
 			// partial segment, redirect, and march on from the scatter
-			// point. One scattering generation keeps variance bounded.
+			// point.
 			tauNew := tau + rec.Abskg*(scatterT-tcur)
 			transNew := math.Exp(-tauNew)
 			sumI += rec.SigmaT4OverPi * (trans - transNew)
 			tau, trans = tauNew, transNew
-			p := r.origin.Add(r.dir.Scale(scatterT))
-			r.dir = rng.UnitSphere()
-			r.origin, r.tcur = p, 0
-			w.start(r, r.li, grid.IV(cc[0], cc[1], cc[2]), p, 0)
+			w.redirect(r, cc, scatterT, rng)
 			scatterT = math.Inf(1)
 			continue
 		}
@@ -372,12 +381,13 @@ func (w *walker) marchGray(r *ray, rng *mathutil.RNG, scatterT float64) {
 	}
 }
 
-// marchBands is the K-band step loop of fused spectral solves: the gray
-// loop's geometry, with the segment accumulated for every unfrozen band
-// against its own absorption table (indexed like the packed records). A
-// band whose transmittance falls below the threshold freezes, exactly as
-// its own gray ray would have terminated; the ray ends when all have.
-func (w *walker) marchBands(r *ray) {
+// marchBands is the K-band step loop of spectral solves: the gray loop's
+// geometry and scattering event, with the segment accumulated for every
+// unfrozen band against its own absorption table (indexed like the
+// packed records). A band whose transmittance falls below the threshold
+// freezes, exactly as its own gray ray would have terminated; the ray
+// ends when all have.
+func (w *walker) marchBands(r *ray, rng *mathutil.RNG, scatterT float64) {
 	bands := w.bands
 	threshold := w.tc.threshold
 	for {
@@ -403,6 +413,10 @@ func (w *walker) marchBands(r *ray) {
 			ds := tNext - tcur
 			if ds < 0 {
 				ds = 0
+			}
+			if tcur+ds > scatterT {
+				ev = evScatter
+				break
 			}
 			alive := w.alive
 			for i := range bands {
@@ -442,8 +456,23 @@ func (w *walker) marchBands(r *ray) {
 		}
 		w.cnt.steps += int64(n)
 		r.left = left - n
-		if ev == evNone || ev == evDone {
+		switch ev {
+		case evNone, evDone:
 			return
+		case evScatter:
+			for i := range bands {
+				b := &bands[i]
+				if b.frozen {
+					continue
+				}
+				tauNew := b.tau + kap[i][idx]*(scatterT-tcur)
+				transNew := math.Exp(-tauNew)
+				b.sum += (b.w * rec.SigmaT4OverPi) * (b.trans - transNew)
+				b.tau, b.trans = tauNew, transNew
+			}
+			w.redirect(r, cc, scatterT, rng)
+			scatterT = math.Inf(1)
+			continue
 		}
 		r.cc, r.tm, r.idx, r.tcur = cc, tm, idx, tcur
 		if w.tail(r, ax, ev == evOpaque) {

@@ -20,11 +20,12 @@ import (
 // checked bitwise against the frozen seed engine at GOMAXPROCS 1, 4 and
 // 16 — run under -race in CI.
 
-// solveSeedBitwise solves region with the walker and with the frozen
-// seed engine and asserts bitwise identity.
-func solveSeedBitwise(t *testing.T, d *Domain, region grid.Box, opts Options, label string) *field.CC[float64] {
+// solveSeedBitwise solves region with the walker, in work tiles of edge
+// tile (0 = the default tiling), and with the frozen seed engine, and
+// asserts bitwise identity.
+func solveSeedBitwise(t *testing.T, d *Domain, region grid.Box, opts Options, tile int, label string) *field.CC[float64] {
 	t.Helper()
-	got, err := d.SolveRegion(region, &opts)
+	got, _, err := d.solveRegion(context.Background(), region, &opts, nil, tile)
 	if err != nil {
 		t.Fatalf("%s: solve: %v", label, err)
 	}
@@ -71,7 +72,7 @@ func TestBatchAllTerminateFirstPass(t *testing.T) {
 		}
 		opts := DefaultOptions()
 		opts.NRays = 6
-		solveSeedBitwise(t, d, d.finest().ROI, opts, "8^3")
+		solveSeedBitwise(t, d, d.finest().ROI, opts, 0, "8^3")
 	})
 }
 
@@ -85,12 +86,11 @@ func TestBatchSingleLaneCompaction(t *testing.T) {
 		}
 		opts := DefaultOptions()
 		opts.NRays = 1
-		opts.TileSize = 1
-		solveSeedBitwise(t, d, d.finest().ROI, opts, "one ray, one-cell tiles")
+		solveSeedBitwise(t, d, d.finest().ROI, opts, 1, "one ray, one-cell tiles")
 
 		opts = DefaultOptions()
 		opts.NRays = 5
-		solveSeedBitwise(t, d, d.finest().ROI, opts, "five rays")
+		solveSeedBitwise(t, d, d.finest().ROI, opts, 0, "five rays")
 	})
 }
 
@@ -104,17 +104,16 @@ func TestBatchOpaqueTile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Tile-aligned 4³ intrusion at the default TileSize=8 corner —
+		// Tile-aligned 4³ intrusion at the default 8³ tile corner —
 		// tile (0,0,0) keeps some flow; block (4..8)³ makes a fully
-		// opaque sub-box that spans tile boundaries at TileSize=4.
+		// opaque sub-box that is exactly one whole 4³ tile.
 		block := grid.NewBox(grid.IV(4, 4, 4), grid.IV(8, 8, 8))
 		block.ForEach(func(c grid.IntVector) {
 			d.finest().CellType.Set(c, field.Intrusion)
 		})
 		opts := DefaultOptions()
 		opts.NRays = 4
-		opts.TileSize = 4 // block covers exactly one whole tile
-		out := solveSeedBitwise(t, d, d.finest().ROI, opts, "opaque-tile")
+		out := solveSeedBitwise(t, d, d.finest().ROI, opts, 4, "opaque-tile")
 		block.ForEach(func(c grid.IntVector) {
 			if v := out.At(c); v != 0 {
 				t.Fatalf("intrusion cell %v has divQ %v, want 0", c, v)
@@ -123,7 +122,7 @@ func TestBatchOpaqueTile(t *testing.T) {
 
 		// A region that is nothing but intrusion: zero flow cells in
 		// every tile, so the solve must return an all-zero field.
-		empty, err := d.SolveRegion(block, &opts)
+		empty, _, err := d.solveRegion(context.Background(), block, &opts, nil, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,9 +195,7 @@ func TestAdaptiveDeterministicAcrossDecomposition(t *testing.T) {
 	for _, procs := range []int{1, 4, 16} {
 		runtime.GOMAXPROCS(procs)
 		for _, tile := range []int{1, 3, 8, 64} {
-			opts := baseOpts
-			opts.TileSize = tile
-			out, err := d.SolveRegion(region, &opts)
+			out, _, err := d.solveRegion(context.Background(), region, &baseOpts, nil, tile)
 			if err != nil {
 				t.Fatal(err)
 			}

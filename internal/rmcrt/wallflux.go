@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/uintah-repro/rmcrt/internal/mathutil"
 )
@@ -39,26 +36,12 @@ func (f *FluxMap) Max() float64 { return mathutil.LinfNorm(f.Q) }
 
 // SolveWallFluxMap computes the incident flux at every face cell of
 // the given enclosure wall using opts.NRays cosine-weighted rays per
-// face cell: q_in = π · mean(sumI). Work is parallelized across face
-// rows; results are deterministic per face cell.
-func (d *Domain) SolveWallFluxMap(face WallFace, opts *Options) (*FluxMap, error) {
-	return d.SolveWallFluxMapCtx(context.Background(), face, opts)
-}
-
-// SolveWallFluxMapCtx is SolveWallFluxMap with cooperative
-// cancellation under the SolveRegionCtx contract: every worker polls
-// ctx between face cells (a face cell is NRays bounded marches), all
-// workers stop promptly once any of them observes cancellation, and
-// the error returned is guaranteed non-nil. Partial counter tallies
-// are still merged into the Domain.
-func (d *Domain) SolveWallFluxMapCtx(ctx context.Context, face WallFace, opts *Options) (*FluxMap, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
+// face cell: q_in = π · mean(sumI). The face rows are the work items of
+// the engine's fan-out (runTiles); every face cell has its own stream,
+// so results are deterministic per face cell. Cancellation follows the
+// SolveRegionCtx contract; ctx is polled between face cells.
+func (d *Domain) SolveWallFluxMap(ctx context.Context, face WallFace, opts *Options) (*FluxMap, error) {
+	if err := begin(ctx, opts, d); err != nil {
 		return nil, err
 	}
 	ld := d.finest()
@@ -85,52 +68,32 @@ func (d *Domain) SolveWallFluxMapCtx(ctx context.Context, face WallFace, opts *O
 		wallCoord = lvl.DomainHi.Component(ax) - eps
 	}
 
-	nw := runtime.GOMAXPROCS(0)
-	if nw > fm.NU {
-		nw = fm.NU
-	}
-	done := ctx.Done()
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wk := newWalker(d, opts, nil)
-			defer wk.cnt.flushTo(d)
-			rng := &wk.tc.rng
-			for u := w; u < fm.NU; u += nw {
-				for v := 0; v < fm.NV; v++ {
-					select {
-					case <-done:
-						cancelled.Store(true)
-					default:
-					}
-					if cancelled.Load() {
-						return
-					}
-					// Deterministic stream per (face, u, v), in the
-					// tagged non-cell namespace (streams.go).
-					rng.SeedStream(opts.Seed, wallMapStreamID(face, u, v))
-					sum := 0.0
-					for r := 0; r < opts.NRays; r++ {
-						// Random point on the face cell.
-						p := mathutil.Vec3{}
-						p = p.WithComponent(ax, wallCoord)
-						p = p.WithComponent(a1,
-							lvl.DomainLo.Component(a1)+(float64(u)+rng.Float64())*dx.Component(a1))
-						p = p.WithComponent(a2,
-							lvl.DomainLo.Component(a2)+(float64(v)+rng.Float64())*dx.Component(a2))
-						sum += wk.trace(p, rng.CosineHemisphere(normal), rng)
-					}
-					fm.Q[u*fm.NV+v] = math.Pi * sum / float64(opts.NRays)
-				}
+	_, err := d.runTiles(ctx, fm.NU, opts, nil, func(wk *walker, u int, poll func() bool) bool {
+		rng := &wk.tc.rng
+		for v := 0; v < fm.NV; v++ {
+			if !poll() {
+				return false
 			}
-		}(w)
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		return nil, ctxErr(ctx)
+			// Deterministic stream per (face, u, v), in the tagged
+			// non-cell namespace (streams.go).
+			rng.SeedStream(opts.Seed, wallMapStreamID(face, u, v))
+			sum := 0.0
+			for r := 0; r < opts.NRays; r++ {
+				// Random point on the face cell.
+				p := mathutil.Vec3{}
+				p = p.WithComponent(ax, wallCoord)
+				p = p.WithComponent(a1,
+					lvl.DomainLo.Component(a1)+(float64(u)+rng.Float64())*dx.Component(a1))
+				p = p.WithComponent(a2,
+					lvl.DomainLo.Component(a2)+(float64(v)+rng.Float64())*dx.Component(a2))
+				sum += wk.trace(p, rng.CosineHemisphere(normal), rng)
+			}
+			fm.Q[u*fm.NV+v] = math.Pi * sum / float64(opts.NRays)
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return fm, nil
 }

@@ -1,6 +1,7 @@
 package rmcrt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestWallFluxMapBlackbodyLimit(t *testing.T) {
 	d := uniformDomain(t, 8, 200, 1.0)
 	opts := DefaultOptions()
 	opts.NRays = 64
-	fm, err := d.SolveWallFluxMap(YPlus, &opts)
+	fm, err := d.SolveWallFluxMap(context.Background(), YPlus, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestWallFluxMapSeesHotSpot(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.NRays = 128
-	fm, err := d.SolveWallFluxMap(XMinus, &opts)
+	fm, err := d.SolveWallFluxMap(context.Background(), XMinus, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,11 @@ func TestWallFluxMapSymmetry(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.NRays = 64
-	a, err := d.SolveWallFluxMap(XMinus, &opts)
+	a, err := d.SolveWallFluxMap(context.Background(), XMinus, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d.SolveWallFluxMap(XPlus, &opts)
+	b, err := d.SolveWallFluxMap(context.Background(), XPlus, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestWallFluxMapDeterministic(t *testing.T) {
 	d2, _, _ := NewBenchmarkDomain(8)
 	opts := DefaultOptions()
 	opts.NRays = 8
-	a, err := d1.SolveWallFluxMap(ZMinus, &opts)
+	a, err := d1.SolveWallFluxMap(context.Background(), ZMinus, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d2.SolveWallFluxMap(ZMinus, &opts)
+	b, err := d2.SolveWallFluxMap(context.Background(), ZMinus, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestWallFluxMapDeterministic(t *testing.T) {
 func TestWallFluxMapValidation(t *testing.T) {
 	d, _, _ := NewBenchmarkDomain(4)
 	bad := Options{NRays: 0, Threshold: 0.1}
-	if _, err := d.SolveWallFluxMap(XMinus, &bad); err == nil {
+	if _, err := d.SolveWallFluxMap(context.Background(), XMinus, &bad); err == nil {
 		t.Error("invalid options accepted")
 	}
 }
@@ -155,7 +156,7 @@ func TestGlobalEnergyBalance(t *testing.T) {
 
 	var wallGain float64
 	for _, f := range []WallFace{XMinus, XPlus, YMinus, YPlus, ZMinus, ZPlus} {
-		fm, err := d.SolveWallFluxMap(f, &opts)
+		fm, err := d.SolveWallFluxMap(context.Background(), f, &opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package rmcrt_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if divQ.At(rmcrt.IV(4, 4, 4)) <= 0 {
 		t.Error("benchmark center should be a net emitter")
 	}
-	q, err := dom.SolveWallFlux(rmcrt.XMinus, &opts)
+	q, err := dom.SolveWallFlux(context.Background(), rmcrt.XMinus, &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
