@@ -1,9 +1,11 @@
 package rmcrt
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/uintah-repro/rmcrt/internal/dw"
+	"github.com/uintah-repro/rmcrt/internal/field"
 	"github.com/uintah-repro/rmcrt/internal/gpu"
 	"github.com/uintah-repro/rmcrt/internal/gpudw"
 	"github.com/uintah-repro/rmcrt/internal/grid"
@@ -223,5 +225,38 @@ func TestDistributedValidation(t *testing.T) {
 	one := &DistributedRadiationSolve{Grid: g1, Opts: DefaultOptions(), Props: FillBenchmark}
 	if err := one.Register(s1); err == nil {
 		t.Error("single-level grid accepted")
+	}
+}
+
+// TestDistributedRejectsNonFlowCells: the distributed solve exchanges
+// only κ and σT⁴, so a Props hook that marks one intrusion cell must
+// fail the props task with an UnsupportedCellError naming that cell
+// instead of tracing it as flow. It runs on one rank: a failed rank
+// does not abort its peers, which would wait out their receives.
+func TestDistributedRejectsNonFlowCells(t *testing.T) {
+	const nRanks = 1
+	g := distGrid(t, nRanks)
+	intrusion := grid.IV(13, 6, 21)
+	props := func(lvl *grid.Level, window grid.Box) (a, sg *field.CC[float64], ct *field.CC[field.CellType]) {
+		a, sg, ct = FillBenchmark(lvl, window)
+		if window.Contains(intrusion) {
+			ct.Set(intrusion, field.Intrusion)
+		}
+		return a, sg, ct
+	}
+	opts := DefaultOptions()
+	opts.NRays = 2
+	comm := simmpi.NewComm(nRanks)
+	_, err := sched.RunRanks(nRanks, func(rank int) (*sched.Scheduler, error) {
+		s := sched.NewScheduler(rank, 2, g, dw.New(1), dw.New(0), comm)
+		solve := &DistributedRadiationSolve{Grid: g, Opts: opts, Props: props}
+		return s, solve.Register(s)
+	})
+	var bad *UnsupportedCellError
+	if !errors.As(err, &bad) {
+		t.Fatalf("err = %v, want an UnsupportedCellError", err)
+	}
+	if bad.Cell != intrusion || bad.Type != field.Intrusion {
+		t.Fatalf("error names cell %v (%v), want %v (%v)", bad.Cell, bad.Type, intrusion, field.Intrusion)
 	}
 }

@@ -126,3 +126,28 @@ func TestTwoLevelSpecMatchesMultiLevelBenchmark(t *testing.T) {
 		})
 	}
 }
+
+// TestSpectralBandFieldsSharedAcrossProblems: the problems of one spec
+// read the same gray property fields, so they must share the band fields
+// built from them instead of each holding K private copies of every
+// level.
+func TestSpectralBandFieldsSharedAcrossProblems(t *testing.T) {
+	spec := Spec{N: 16, Levels: 2, PatchN: 8, RR: 2, Rays: 4, SpectralBands: 4}
+	_, probs, err := spec.problems()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(probs) < 2 {
+		t.Fatalf("%d problems, want several patches", len(probs))
+	}
+	first := probs[0].spectral.LevelBands
+	for _, pr := range probs[1:] {
+		for li, bands := range pr.spectral.LevelBands {
+			for k, b := range bands {
+				if b.Abskg != first[li][k].Abskg {
+					t.Fatalf("problem %d builds its own level %d band %d field", pr.id, li, k)
+				}
+			}
+		}
+	}
+}
