@@ -10,7 +10,10 @@
 //	dom, _, err := rmcrt.NewBenchmarkDomain(41)
 //	if err != nil { ... }
 //	opts := rmcrt.DefaultOptions()
-//	divQ, err := dom.SolveRegion(dom.Levels[0].Level.IndexBox(), &opts)
+//	divQ, err := dom.SolveRegionCtx(ctx, dom.Levels[0].Level.IndexBox(), &opts)
+//
+// Every engine query takes a context first and returns promptly with a
+// non-nil error once it is cancelled.
 //
 // The subpackage structure mirrors the paper's systems; see DESIGN.md.
 // This package re-exports the most commonly used entry points so that
