@@ -53,7 +53,7 @@ func run(args []string, notify func(addr string)) error {
 	edge := service.RegisterEdgeFlags(fs, ":8372")
 	workers := fs.Int("workers", 0, "solve worker pool size (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 16, "bounded submission queue depth")
-	cacheN := fs.Int("cache", 64, "result cache entries (negative disables)")
+	cacheN := fs.Int("cache", 64, "delivered results kept for cache hits and repeat reads; bounds result memory beyond undelivered ones (negative keeps none)")
 	maxCells := fs.Int64("max-cells", 1<<21, "per-job fine-level cell budget")
 	journal := fs.String("journal", "", "write-ahead job journal path (empty = jobs do not survive restarts)")
 	ckptDir := fs.String("ckpt-dir", "", "per-job solve checkpoint directory (empty = no mid-solve checkpoints)")

@@ -203,8 +203,10 @@ type Job struct {
 	// decorrelated jitter of the next one.
 	backoffPrev time.Duration
 	lastShard   service.JobStatus // latest status observed from the shard
-	result      *service.ResultPayload
-	cancelled   bool
+	// result is the fetched payload, held only until the first Payload
+	// delivers it; a repeat read re-fetches it from the shard.
+	result    *service.ResultPayload
+	cancelled bool
 
 	terminalQueued atomic.Bool
 }
@@ -272,6 +274,7 @@ type Cluster struct {
 	mBreakerOpens, mBreakerCloses      *metrics.Counter
 	mBreakerHalfOpens                  *metrics.Counter
 	gQueued                            *metrics.Gauge
+	gResults, gResultBytes             *metrics.Gauge
 	gBudgetTokens                      *metrics.FloatGauge
 	hClass                             map[string]*metrics.Histogram
 	gJain                              *metrics.FloatGauge
@@ -330,6 +333,8 @@ func New(cfg Config) (*Cluster, error) {
 	c.mBreakerCloses = reg.Counter("router_breaker_closes_total", "shard circuit-breaker transitions to closed")
 	c.mBreakerHalfOpens = reg.Counter("router_breaker_half_opens_total", "shard circuit-breaker transitions to half-open (probe admitted)")
 	c.gQueued = reg.Gauge("router_queue_depth", "jobs waiting in the dispatch queue")
+	c.gResults = reg.Gauge("router_results_resident", "fetched results held for their first delivery")
+	c.gResultBytes = reg.Gauge("router_results_resident_bytes", "divQ bytes of the fetched results held for their first delivery")
 	c.gBudgetTokens = reg.FloatGauge("router_retry_budget_tokens", "retry-budget tokens remaining")
 	c.gJain = reg.FloatGauge("router_class_fairness_jain", "Jain fairness index over per-class goodput fractions (1 = perfectly fair)")
 	c.gJain.Set(1)
@@ -559,7 +564,7 @@ func (c *Cluster) place(job *Job, shard *Shard) {
 			service.DeadlineHeader: strconv.FormatInt(int64((rem+time.Millisecond-1)/time.Millisecond), 10),
 		}
 	}
-	code, respBody, err := c.do(http.MethodPost, shard.URL()+"/v1/solve", body, hdr)
+	code, respBody, err := c.do(http.MethodPost, shard.URL()+"/v1/solve", body, hdr, smallBodyLimit)
 	if c.closing(shard) {
 		return
 	}
@@ -629,10 +634,10 @@ func (c *Cluster) watch(job *Job, shard *Shard) {
 		}
 		if cancelled {
 			// Best-effort: stop the shard-side solve, then observe it.
-			_, _, _ = c.do(http.MethodDelete, shard.URL()+"/v1/jobs/"+shardID, nil, nil)
+			_, _, _ = c.do(http.MethodDelete, shard.URL()+"/v1/jobs/"+shardID, nil, nil, smallBodyLimit)
 		}
 		last = time.Now()
-		code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID+wait, nil, nil)
+		code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID+wait, nil, nil, smallBodyLimit)
 		if c.closing(shard) {
 			return
 		}
@@ -698,43 +703,86 @@ func shardError(shard *Shard, msg string) error {
 }
 
 // fetchResult pulls the finished placement's divQ payload into the
-// job, rewriting the IDs to the router's. Returns false, with the
-// shard slot released, if the fetch failed (the job is requeued) or
-// the router is closing.
+// job, where it stays until its first delivery. Returns false, with
+// the shard slot released, if the fetch failed (the job is requeued)
+// or the router is closing.
 func (c *Cluster) fetchResult(job *Job, shard *Shard, shardID string) bool {
-	code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID+"/result", nil, nil)
+	payload, code, err := c.getResult(job, shard, shardID)
 	if c.closing(shard) {
 		return false
 	}
-	if err != nil && code == 0 {
+	switch {
+	case err != nil && code == 0:
 		// The transport failed: the shard died between "done" and the
 		// fetch.
 		c.shardLost(shard, err)
 		c.requeue(job, shard, true)
 		return false
-	}
-	if err == nil && code != http.StatusOK {
+	case err != nil:
+		// The shard answered, but the body tore mid-read, ran past what
+		// the job's cells can encode, or is corrupt: a request fault,
+		// not shard loss. The breaker counts it (a shard that keeps
+		// tearing trips open) and the placement is retried; health is
+		// left alone, so a few transient tears cannot mark a whole fleet
+		// down.
+		shard.recordFailure(time.Now())
 		c.requeue(job, shard, true)
 		return false
-	}
-	var payload service.ResultPayload
-	if err != nil || json.Unmarshal(body, &payload) != nil {
-		// The shard answered, but the body tore mid-read or is corrupt:
-		// a request fault, not shard loss. The breaker counts it (a
-		// shard that keeps tearing trips open) and the placement is
-		// retried; health is left alone, so a few transient tears
-		// cannot mark a whole fleet down.
-		shard.recordFailure(time.Now())
+	case payload == nil:
 		c.requeue(job, shard, true)
 		return false
 	}
 	shard.recordSuccess()
-	payload.ID = job.ID
 	c.mu.Lock()
-	job.result = &payload
+	job.result = payload
+	c.gResults.Add(1)
+	c.gResultBytes.Add(resultBytes(payload))
 	c.mu.Unlock()
 	return true
 }
+
+// getResult reads a placement's result from its shard: the body is
+// read up to what job's cells can encode, decoded, checked against the
+// job's key and cell count, and given the router's job ID. It returns
+// a nil payload and nil error when the shard answers other than 200;
+// a non-nil error with code 0 when the transport failed, and with the
+// shard's code when the body is unreadable, too long or not the job's.
+func (c *Cluster) getResult(job *Job, shard *Shard, shardID string) (*service.ResultPayload, int, error) {
+	code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID+"/result", nil, nil, resultBodyLimit(job.Spec))
+	if err != nil || code != http.StatusOK {
+		return nil, code, err
+	}
+	var p service.ResultPayload
+	if err := json.Unmarshal(body, &p); err != nil {
+		return nil, code, fmt.Errorf("cluster: shard %s result: %w", shard.Name(), err)
+	}
+	if want := job.Spec.Cells(); p.Key != job.Key || int64(p.Cells) != want || int64(len(p.DivQ)) != want {
+		return nil, code, fmt.Errorf("cluster: shard %s result is key %s with %d cells (%d values), want key %s with %d",
+			shard.Name(), p.Key, p.Cells, len(p.DivQ), job.Key, want)
+	}
+	p.ID = job.ID
+	return &p, code, nil
+}
+
+// Body read limits. A status, accept or error body is a few hundred
+// bytes of JSON. A result body is one JSON number per cell: encoding/json
+// writes a float64 in at most 25 bytes (-0.0000012345678901234567),
+// plus its separator, and the fields around the array fit in a few
+// hundred bytes.
+const (
+	smallBodyLimit      = 64 << 10
+	maxJSONValueBytes   = 26
+	resultHeaderAllowed = 4 << 10
+)
+
+// resultBodyLimit is the longest result body spec's cells can
+// legitimately encode.
+func resultBodyLimit(spec service.Spec) int64 {
+	return spec.Cells()*maxJSONValueBytes + resultHeaderAllowed
+}
+
+// resultBytes is the memory a payload's values take.
+func resultBytes(p *service.ResultPayload) int64 { return 8 * int64(len(p.DivQ)) }
 
 // requeue returns a job to the dispatch queue after releasing its
 // shard slot. countAttempt distinguishes shard loss (bounded by
@@ -898,7 +946,7 @@ func (c *Cluster) healthLoop() {
 		case <-t.C:
 		}
 		for _, s := range c.shards.Shards() {
-			_, _, err := c.do(http.MethodGet, s.URL()+"/healthz", nil, nil)
+			_, _, err := c.do(http.MethodGet, s.URL()+"/healthz", nil, nil, smallBodyLimit)
 			s.mu.Lock()
 			if err == nil {
 				s.fails = 0
@@ -919,10 +967,11 @@ func (c *Cluster) healthLoop() {
 
 // do performs one backend HTTP call under the cluster's lifetime
 // context and returns the status code and body. hdr adds extra request
-// headers (nil for none). A non-nil error with code 0 means the
-// transport failed — the shard, not the job, is suspect; with a nonzero
-// code the shard answered but its body could not be read.
-func (c *Cluster) do(method, url string, body []byte, hdr map[string]string) (int, []byte, error) {
+// headers (nil for none); a body longer than limit bytes is an error.
+// A non-nil error with code 0 means the transport failed — the shard,
+// not the job, is suspect; with a nonzero code the shard answered but
+// its body could not be read or ran past limit.
+func (c *Cluster) do(method, url string, body []byte, hdr map[string]string, limit int64) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -942,12 +991,14 @@ func (c *Cluster) do(method, url string, body []byte, hdr map[string]string) (in
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	// Result payloads are the largest legitimate body: divQ for the
-	// per-job cell budget. 256 MiB bounds even absurd configurations
-	// without letting a corrupt shard OOM the router.
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	// One byte past the limit tells an over-long body from one that
+	// fits exactly, without letting a corrupt shard OOM the router.
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return resp.StatusCode, nil, err
+	}
+	if int64(len(data)) > limit {
+		return resp.StatusCode, nil, fmt.Errorf("cluster: body from %s exceeds the %d-byte read limit", url, limit)
 	}
 	return resp.StatusCode, data, nil
 }
@@ -976,19 +1027,34 @@ func (c *Cluster) JobCount() map[service.State]int { return c.jobs.JobCount() }
 
 // Payload returns a done job's divQ payload (nil, with the job's
 // error, for every other state). The boolean reports whether the job
-// is terminal yet.
+// is terminal yet. The first call hands over the payload fetched at
+// completion and the router drops it; a later call re-fetches it from
+// the placement's shard and finds nil when the shard has evicted it,
+// forgotten the job or is gone.
 func (c *Cluster) Payload(id string) (*service.ResultPayload, JobStatus, bool, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	job, err := c.jobs.LookupLocked(id)
 	if err != nil {
+		c.mu.Unlock()
 		return nil, JobStatus{}, false, err
 	}
 	st := job.Snapshot()
 	if job.State != service.StateDone {
-		return nil, st, job.State.Terminal(), job.Err
+		c.mu.Unlock()
+		return nil, st, st.State.Terminal(), job.Err
 	}
-	return job.result, st, true, nil
+	p, shard, shardID := job.result, job.shard, job.shardID
+	if p != nil {
+		job.result = nil
+		c.gResults.Dec()
+		c.gResultBytes.Add(-resultBytes(p))
+	}
+	c.mu.Unlock()
+	if p == nil {
+		// Delivered before: the router keeps no copy.
+		p, _, _ = c.getResult(job, shard, shardID)
+	}
+	return p, st, true, nil
 }
 
 // Cancel stops a job. Queued jobs cancel immediately; dispatched jobs

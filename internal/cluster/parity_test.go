@@ -25,6 +25,7 @@ type parityOpts struct {
 	calibrated bool  // every deadlined submission is predicted infeasible
 	block      bool  // solves block until the fixture closes
 	queue      int   // daemon queue / router dispatch queue depth (0 = default)
+	cache      int   // the daemon's (or the shard's) CacheEntries (0 = default)
 }
 
 // parityEnv is one running plane: its base URL, its job API handler
@@ -34,6 +35,8 @@ type parityEnv struct {
 	url   string
 	h     http.Handler
 	close func()
+	// first is a setup's first result body, for rows that read again.
+	first []byte
 }
 
 // parityPlane builds a fresh fixture of one serving plane.
@@ -56,7 +59,7 @@ func (o parityOpts) limiter() *resilience.Limiter {
 // every solve parks until the manager closes.
 func startParityDaemon(t *testing.T, o parityOpts, limiter *resilience.Limiter) (*service.Manager, *httptest.Server) {
 	t.Helper()
-	cfg := service.Config{Workers: 1, QueueDepth: 32}
+	cfg := service.Config{Workers: 1, QueueDepth: 32, CacheEntries: o.cache}
 	if o.queue > 0 {
 		cfg.QueueDepth = o.queue
 	}
@@ -88,7 +91,7 @@ var parityPlanes = []parityPlane{
 	{"router", func(t *testing.T, o parityOpts) *parityEnv {
 		// One shard behind the router; the shard itself is unlimited and
 		// uncalibrated, so every edge verdict below is the router's own.
-		_, shard := startParityDaemon(t, parityOpts{block: o.block}, nil)
+		_, shard := startParityDaemon(t, parityOpts{block: o.block, cache: o.cache}, nil)
 		cfg := Config{
 			Shards:              []ShardConfig{{Name: "s0", URL: shard.URL}},
 			QueueDepth:          o.queue,
@@ -225,6 +228,28 @@ func submitDone(t *testing.T, e *parityEnv) string {
 	id := e.mustSubmit(t, paritySpec)
 	e.waitState(t, id, service.StateDone)
 	return id
+}
+
+// getResultOK reads a job's result, requiring 200.
+func getResultOK(t *testing.T, e *parityEnv, id string) []byte {
+	t.Helper()
+	resp, body := e.do(t, http.MethodGet, "/v1/jobs/"+id+"/result", "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("setup result %s: HTTP %d (body %q)", id, resp.StatusCode, body)
+	}
+	return body
+}
+
+// deliveredEvicted finishes and delivers two jobs on a plane whose
+// daemon (or shard) keeps one delivered result, so the first job's
+// result is evicted by the second's delivery; it returns the first.
+func deliveredEvicted(t *testing.T, e *parityEnv) string {
+	first := submitDone(t, e)
+	getResultOK(t, e, first)
+	second := e.mustSubmit(t, `{"kind":"benchmark","n":8,"rays":10,"seed":300}`)
+	e.waitState(t, second, service.StateDone)
+	getResultOK(t, e, second)
+	return first
 }
 
 // fillQueue parks one job on the (single, blocked) worker, then
@@ -381,6 +406,26 @@ func parityRows() []parityRow {
 			method: "GET", path: "/v1/jobs/{id}/result", code: 410, errBody: true,
 		},
 		{name: "result/unknown", method: "GET", path: "/v1/jobs/r-999999/result", code: 404, errBody: true},
+		// A repeat read answers the same bytes: the daemon from its
+		// cache, the router by re-fetching from the shard.
+		{
+			name: "result/second-read",
+			setup: func(t *testing.T, e *parityEnv) string {
+				id := submitDone(t, e)
+				e.first = getResultOK(t, e, id)
+				return id
+			},
+			method: "GET", path: "/v1/jobs/{id}/result", code: 200,
+			check: func(t *testing.T, e *parityEnv, body []byte) {
+				if !bytes.Equal(body, e.first) {
+					t.Errorf("second read %q differs from the first %q", body, e.first)
+				}
+			},
+		},
+		// Once delivered and evicted from the (shard's) cache, a done
+		// job's result is gone: 410 with the job's done status.
+		{name: "result/evicted", opts: parityOpts{cache: 1}, setup: deliveredEvicted,
+			method: "GET", path: "/v1/jobs/{id}/result", code: 410, check: wantState(service.StateDone)},
 
 		{name: "cancel/ok", opts: parityOpts{block: true},
 			setup:  func(t *testing.T, e *parityEnv) string { return e.mustSubmit(t, paritySpec) },

@@ -47,7 +47,10 @@ func TestClusterBreakerTripsAndRecovers(t *testing.T) {
 		c.MaxAttempts = 50
 		c.RetryBudget = 1000
 		c.BreakerThreshold = 2
-		c.BreakerCooldown = 100 * time.Millisecond
+		// Far above one job's time under -race: the circuit must still be
+		// open when the trip phase reads it, after the tripping job has
+		// finished on s1. The recovery phase waits it out.
+		c.BreakerCooldown = 2 * time.Second
 		c.BackoffBase = time.Millisecond
 		c.BackoffCap = 5 * time.Millisecond
 		c.HealthInterval = 15 * time.Millisecond
@@ -80,7 +83,8 @@ func TestClusterBreakerTripsAndRecovers(t *testing.T) {
 	}
 
 	// Faults stop; recovery must flow through a half-open probe
-	// placement landing back on s0.
+	// placement landing back on s0 once the cooldown has lapsed. Until
+	// then every job spills to s1.
 	ft.StopForcing()
 	for counterValue(t, h.cluster, "router_breaker_closes_total") == 0 {
 		if time.Now().After(deadline) {

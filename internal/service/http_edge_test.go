@@ -112,11 +112,11 @@ func TestHTTPDuplicateSubmitCoalesces(t *testing.T) {
 	}
 }
 
-// TestHTTPResultAfterCacheEviction: with a one-entry cache, a second
-// solve evicts the first's cache entry — but the first job still owns
-// its result (jobs retain divQ independently of the cache), and a
-// resubmission of the evicted spec is an honest cache miss that
-// recomputes to the same bytes.
+// TestHTTPResultAfterCacheEviction: with a one-entry cache, delivering
+// a second result evicts the first, delivered one — the cache is the
+// only copy, so the first job's repeat read answers 410 with its done
+// status — and a resubmission of the evicted spec is an honest cache
+// miss that recomputes to the same bytes.
 func TestHTTPResultAfterCacheEviction(t *testing.T) {
 	srv, m := newTestServer(t, Config{Workers: 1, CacheEntries: 1})
 
@@ -126,19 +126,26 @@ func TestHTTPResultAfterCacheEviction(t *testing.T) {
 
 	_, b := postSolve(t, srv, fastSpec(32))
 	pollUntil(t, srv, b.ID, StateDone)
+	if got := m.mEvicted.Value(); got != 0 {
+		t.Fatalf("eviction metric = %d before b is delivered, want 0 (undelivered results are pinned)", got)
+	}
+	if resp, _ := getResult(t, srv, b.ID); resp.StatusCode != http.StatusOK {
+		t.Fatalf("result of b: status %d, want 200", resp.StatusCode)
+	}
 	if got := m.mEvicted.Value(); got != 1 {
-		t.Fatalf("eviction metric = %d, want 1 (cache holds one entry)", got)
+		t.Fatalf("eviction metric = %d, want 1 (cache holds one delivered entry)", got)
 	}
 
-	// The evicted entry's job still serves its result.
-	resp, plA2 := getResult(t, srv, a.ID)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result of evicted-entry job: status %d, want 200", resp.StatusCode)
+	// The evicted result is gone: its job answers 410 with its status.
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + a.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range plA.DivQ {
-		if plA.DivQ[i] != plA2.DivQ[i] {
-			t.Fatalf("stored result changed after eviction at %d", i)
-		}
+	var gone JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&gone)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone || err != nil || gone.ID != a.ID || gone.State != StateDone {
+		t.Fatalf("result of evicted job: status %d body %+v (%v), want 410 with its done status", resp.StatusCode, gone, err)
 	}
 
 	// Resubmitting the evicted spec recomputes (no stale cache hit) and

@@ -72,18 +72,19 @@ func (s State) Terminal() bool {
 }
 
 // Job is one tracked solve request: the shared lifecycle record plus
-// the daemon's result and solve bookkeeping. All fields are guarded by
-// the manager's mutex; callers observe jobs through Status / Result /
-// Wait.
+// the daemon's solve bookkeeping. A done job's result lives in the
+// manager's result cache under its Key, not in the job. All fields are
+// guarded by the manager's mutex; callers observe jobs through Status /
+// Result / Wait.
 type Job struct {
 	JobRecord
-	divQ      *field.CC[float64]
 	rays      int64
 	steps     int64
 	raysSaved int64
 	fromCache bool
 	coalesced bool
 	ephemeral bool // terminal at submit (expired deadline): never journaled
+	pinned    bool // done, holding its cache entry until first delivery
 
 	fl *flight
 }
@@ -138,8 +139,12 @@ type Config struct {
 	// QueueDepth bounds the submission queue (default 16). Submissions
 	// beyond it fail with ErrQueueFull.
 	QueueDepth int
-	// CacheEntries bounds the result cache (default 64; negative
-	// disables caching).
+	// CacheEntries bounds the finished results kept after delivery
+	// (default 64; negative keeps none and disables cache hits). A done
+	// job's result stays resident until its first Result or Payload;
+	// after that it is one of at most CacheEntries idle entries, serving
+	// cache hits and repeat reads, and a repeat read after its eviction
+	// finds no result (HTTP 410).
 	CacheEntries int
 	// MaxCells is the per-job fine-level cell budget (default 2²¹ ≈
 	// 2.1M cells, a 128³ problem); larger specs are rejected with
@@ -297,7 +302,7 @@ func Recover(cfg Config) (*Manager, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		inflight:   make(map[string]*flight),
-		cache:      newCache(cfg.CacheEntries),
+		cache:      newCache(cfg.CacheEntries, cfg.Metrics),
 	}
 	// The queue must hold every recovered flight on top of the normal
 	// depth, or replay would deadlock before the workers exist.
@@ -455,7 +460,8 @@ func (m *Manager) SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, erro
 	job := &Job{JobRecord: m.jobs.NextLocked(spec, deadline)}
 	// Cache hits are exempt from both deadline gates: a stored answer
 	// is free, and free work meets any deadline.
-	divQ, cached := m.cache.get(job.Key)
+	divQ := m.cache.hit(job.Key)
+	cached := divQ != nil
 
 	// 0. Dead on arrival: the propagated deadline expired in transit.
 	// Fail fast and typed without costing a queue slot, a journal write
@@ -620,7 +626,10 @@ func (m *Manager) runFlight(fl *flight) {
 	switch {
 	case err == nil:
 		m.hSolve.Observe(elapsed)
-		m.mEvicted.Add(int64(m.cache.put(fl.key, divQ)))
+		// The flight's own pin keeps the result while its jobs pin it
+		// below; released after them, it leaves the result idle in the
+		// cache even when every job was cancelled meanwhile.
+		m.cache.pin(fl.key, divQ)
 		// Adaptive solves trace at most Cells × AdaptiveMaxRays rays;
 		// the shortfall is the budget the variance-based stopping rule
 		// saved. Clamped at zero: retries can double-count rays.
@@ -638,6 +647,9 @@ func (m *Manager) runFlight(fl *flight) {
 			j.rays, j.steps, j.raysSaved = rays, steps, saved
 		}
 		m.finishLocked(j, st, divQ, err)
+	}
+	if st == StateDone {
+		m.mEvicted.Add(int64(m.cache.unpin(fl.key)))
 	}
 }
 
@@ -667,13 +679,17 @@ func (m *Manager) solveAttempt(fl *flight, deadline time.Time) (*field.CC[float6
 	return divQ, rays, steps, err
 }
 
-// finishLocked moves a job to a terminal state once, keeping its
-// result and closing its journal entry. Callers hold m.mu.
+// finishLocked moves a job to a terminal state once, pinning a done
+// job's result in the cache until its first delivery and closing its
+// journal entry. Callers hold m.mu.
 func (m *Manager) finishLocked(j *Job, st State, divQ *field.CC[float64], err error) {
 	if !m.jobs.FinishLocked(j, st, err) {
 		return
 	}
-	j.divQ = divQ
+	if st == StateDone {
+		m.cache.pin(j.Key, divQ)
+		j.pinned = true
+	}
 	// Close the job's journal entry. Best-effort: a failed append only
 	// means the (terminal, already-answered) job is replayed and
 	// re-solved after a restart — wasted work, not a wrong answer.
@@ -718,7 +734,9 @@ func (m *Manager) JobCount() map[State]int { return m.jobs.JobCount() }
 
 // Result returns a finished job's divQ field (nil with the job's error
 // for failed/cancelled jobs). The boolean reports whether the job is
-// terminal yet.
+// terminal yet. A done job's first call delivers its pinned result and
+// releases the pin; later calls read the cache and find nil once the
+// result has been evicted.
 func (m *Manager) Result(id string) (*field.CC[float64], JobStatus, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -729,14 +747,23 @@ func (m *Manager) Result(id string) (*field.CC[float64], JobStatus, bool, error)
 	if !j.State.Terminal() {
 		return nil, j.Snapshot(), false, nil
 	}
-	return j.divQ, j.Snapshot(), true, j.Err
+	if j.State != StateDone {
+		return nil, j.Snapshot(), true, j.Err
+	}
+	divQ := m.cache.get(j.Key)
+	if j.pinned {
+		j.pinned = false
+		m.mEvicted.Add(int64(m.cache.unpin(j.Key)))
+	}
+	return divQ, j.Snapshot(), true, nil
 }
 
 // Payload is Result in its JSON form: the divQ payload of a done job,
-// nil for every other state.
+// nil for every other state and for a done job whose result has been
+// evicted.
 func (m *Manager) Payload(id string) (*ResultPayload, JobStatus, bool, error) {
 	divQ, st, terminal, err := m.Result(id)
-	if st.State != StateDone {
+	if divQ == nil {
 		return nil, st, terminal, err
 	}
 	p := newResultPayload(st.ID, st.Key, divQ)
