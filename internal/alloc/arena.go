@@ -105,10 +105,14 @@ func (a *Arena) AllocFloat64(n int) []float64 {
 // slab, accounted at unsafe.Sizeof(T) bytes per element. It generalizes
 // AllocFloat64 to record types — the packed property tables in
 // internal/rmcrt draw their storage here. It is a free function because
-// Go methods cannot carry type parameters.
+// Go methods cannot carry type parameters. A nil arena allocates from
+// the heap, unaccounted: for storage whose owner tracks it itself.
 func AllocSlice[T any](a *Arena, n int) []T {
 	if n < 0 {
 		panic("alloc: negative allocation")
+	}
+	if a == nil {
+		return make([]T, n)
 	}
 	var zero T
 	bytes := int64(unsafe.Sizeof(zero)) * int64(n)

@@ -748,7 +748,7 @@ func (c *Cluster) fetchResult(job *Job, shard *Shard, shardID string) bool {
 // a non-nil error with code 0 when the transport failed, and with the
 // shard's code when the body is unreadable, too long or not the job's.
 func (c *Cluster) getResult(job *Job, shard *Shard, shardID string) (*service.ResultPayload, int, error) {
-	code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID+"/result", nil, nil, resultBodyLimit(job.Spec))
+	code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID+"/result", nil, nil, service.ResultBodyLimit(job.Spec))
 	if err != nil || code != http.StatusOK {
 		return nil, code, err
 	}
@@ -764,22 +764,9 @@ func (c *Cluster) getResult(job *Job, shard *Shard, shardID string) (*service.Re
 	return &p, code, nil
 }
 
-// Body read limits. A status, accept or error body is a few hundred
-// bytes of JSON. A result body is one JSON number per cell: encoding/json
-// writes a float64 in at most 25 bytes (-0.0000012345678901234567),
-// plus its separator, and the fields around the array fit in a few
-// hundred bytes.
-const (
-	smallBodyLimit      = 64 << 10
-	maxJSONValueBytes   = 26
-	resultHeaderAllowed = 4 << 10
-)
-
-// resultBodyLimit is the longest result body spec's cells can
-// legitimately encode.
-func resultBodyLimit(spec service.Spec) int64 {
-	return spec.Cells()*maxJSONValueBytes + resultHeaderAllowed
-}
+// smallBodyLimit bounds a status, accept or error body, a few hundred
+// bytes of JSON; result bodies are bounded by service.ResultBodyLimit.
+const smallBodyLimit = 64 << 10
 
 // resultBytes is the memory a payload's values take.
 func resultBytes(p *service.ResultPayload) int64 { return 8 * int64(len(p.DivQ)) }

@@ -115,7 +115,7 @@ func TestClusterOverlongResultIsRequestFault(t *testing.T) {
 	}
 	// Valid JSON that decodes to the good payload if read in full: only
 	// the read limit can refuse it.
-	overlong := string(good) + strings.Repeat(" ", int(resultBodyLimit(spec)))
+	overlong := string(good) + strings.Repeat(" ", int(service.ResultBodyLimit(spec)))
 	var fetches atomic.Int32
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
@@ -182,7 +182,7 @@ func TestResultBodyLimitFitsWorstCase(t *testing.T) {
 	if err := json.NewEncoder(&b).Encode(p); err != nil {
 		t.Fatal(err)
 	}
-	if n, limit := int64(b.Len()), resultBodyLimit(spec); n > limit {
+	if n, limit := int64(b.Len()), service.ResultBodyLimit(spec); n > limit {
 		t.Fatalf("worst-case body %d bytes, limit %d", n, limit)
 	}
 }

@@ -49,9 +49,9 @@ type PackedLevel struct {
 }
 
 // PackLevel fuses ld's three property fields into one record table
-// over ld.ROI, with storage drawn from the arena. Values are copied
-// bit-for-bit; the caller must not mutate the level fields afterwards
-// while the table is in use.
+// over ld.ROI, with storage drawn from the arena (the heap when a is
+// nil). Values are copied bit-for-bit; the caller must not mutate the
+// level fields afterwards while the table is in use.
 func PackLevel(ld *LevelData, a *alloc.Arena) *PackedLevel {
 	box := ld.ROI
 	ext := box.Extent()

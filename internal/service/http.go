@@ -196,6 +196,12 @@ func newResultPayload(id, key string, divQ *field.CC[float64]) ResultPayload {
 	}
 }
 
+// ResultBodyLimit is the longest result body spec's cells can
+// legitimately encode: one JSON number per cell, which encoding/json
+// writes in at most 25 bytes (-0.0000012345678901234567) plus its
+// separator, and a few hundred bytes of fields around the array.
+func ResultBodyLimit(spec Spec) int64 { return spec.Cells()*26 + 4<<10 }
+
 // errorPayload is every non-2xx body that is not a job status.
 type errorPayload struct {
 	Error string `json:"error"`

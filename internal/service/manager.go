@@ -165,12 +165,6 @@ type Config struct {
 	// seam for alternate backends and for fault-injection tests; it must
 	// preserve Spec.Solve's determinism contract.
 	Solver func(ctx context.Context, spec Spec) (*field.CC[float64], int64, int64, error)
-	// PackedRetainBytes bounds the idle-table retention of the shared
-	// packed property-table cache — the level-database analog that lets
-	// concurrent and back-to-back jobs over the same level share one
-	// read-only packed copy (0 = default 64 MiB, negative disables the
-	// cache entirely; solves then pack privately).
-	PackedRetainBytes int64
 	// CostModel, when set, predicts a spec's solve wall-seconds at
 	// admission time — the calibrated cost model's serving hook (a
 	// closure over calib.Calibration.Seconds keeps this package free of
@@ -231,8 +225,12 @@ type Manager struct {
 	// (single-flight): identical submissions attach instead of taking
 	// a second worker.
 	inflight map[string]*flight
-	cache    *cache
-	journal  *Journal
+	// results holds every finished result, one entry per key, priced 1
+	// so that CacheEntries bounds the idle ones. Each done job pins its
+	// key's entry until its first delivery through Result or Payload;
+	// delivered entries sit idle, serving cache hits and repeat reads.
+	results *store[*field.CC[float64]]
+	journal *Journal
 
 	recovery RecoveryStats
 
@@ -243,6 +241,7 @@ type Manager struct {
 	mReplayed, mTornRecords, mRecovered         *metrics.Counter
 	mResumedPatches                             *metrics.Counter
 	gQueued, gRunning, gLastCkpt                *metrics.Gauge
+	gResults, gResultBytes                      *metrics.Gauge
 	hSolve                                      *metrics.Histogram
 	trace                                       *rmcrt.TraceMetrics
 	packed                                      *PackedCache
@@ -302,7 +301,7 @@ func Recover(cfg Config) (*Manager, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		inflight:   make(map[string]*flight),
-		cache:      newCache(cfg.CacheEntries, cfg.Metrics),
+		results:    newStore[*field.CC[float64]](int64(cfg.CacheEntries)),
 	}
 	// The queue must hold every recovered flight on top of the normal
 	// depth, or replay would deadlock before the workers exist.
@@ -331,13 +330,13 @@ func Recover(cfg Config) (*Manager, error) {
 	m.gQueued = r.Gauge("rmcrtd_queue_depth", "solves waiting in the submission queue")
 	m.gRunning = r.Gauge("rmcrtd_jobs_running", "solves currently executing")
 	m.gLastCkpt = r.Gauge("rmcrtd_checkpoint_last_unix_seconds", "unix time of the most recent checkpoint write")
+	m.gResults = r.Gauge("rmcrtd_results_resident", "finished results held in memory: pinned until first delivery, plus at most -cache idle ones")
+	m.gResultBytes = r.Gauge("rmcrtd_results_resident_bytes", "divQ bytes of the finished results held in memory")
 	m.hSolve = r.Histogram("rmcrtd_solve_seconds", "solve wall time", metrics.DefBuckets)
 	m.trace = rmcrt.NewTraceMetrics(r)
-	if cfg.PackedRetainBytes >= 0 {
-		// The shared packed-table cache (the level-database analog);
-		// the default solver draws per-level tables from it.
-		m.packed = NewPackedCache(cfg.PackedRetainBytes, r)
-	}
+	// The shared packed-table cache (the level-database analog); the
+	// default solver draws per-level tables from it.
+	m.packed = NewPackedCache(defaultPackedRetainBytes, r)
 
 	// Restore the pre-crash queue before workers exist, so recovered
 	// flights run in their original submission order.
@@ -424,8 +423,7 @@ func (m *Manager) solve(ctx context.Context, spec Spec) (*field.CC[float64], int
 // Registry returns the manager's metrics registry (for /metrics).
 func (m *Manager) Registry() *metrics.Registry { return m.reg }
 
-// Packed returns the manager's shared packed-table cache, nil when
-// disabled (Config.PackedRetainBytes < 0).
+// Packed returns the manager's shared packed-table cache.
 func (m *Manager) Packed() *PackedCache { return m.packed }
 
 // Submit validates spec, applies admission control and returns the new
@@ -460,7 +458,10 @@ func (m *Manager) SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, erro
 	job := &Job{JobRecord: m.jobs.NextLocked(spec, deadline)}
 	// Cache hits are exempt from both deadline gates: a stored answer
 	// is free, and free work meets any deadline.
-	divQ := m.cache.hit(job.Key)
+	var divQ *field.CC[float64]
+	if m.cfg.CacheEntries >= 0 {
+		divQ = m.results.get(job.Key)
+	}
 	cached := divQ != nil
 
 	// 0. Dead on arrival: the propagated deadline expired in transit.
@@ -629,7 +630,7 @@ func (m *Manager) runFlight(fl *flight) {
 		// The flight's own pin keeps the result while its jobs pin it
 		// below; released after them, it leaves the result idle in the
 		// cache even when every job was cancelled meanwhile.
-		m.cache.pin(fl.key, divQ)
+		m.pinResultLocked(fl.key, divQ)
 		// Adaptive solves trace at most Cells × AdaptiveMaxRays rays;
 		// the shortfall is the budget the variance-based stopping rule
 		// saved. Clamped at zero: retries can double-count rays.
@@ -649,7 +650,7 @@ func (m *Manager) runFlight(fl *flight) {
 		m.finishLocked(j, st, divQ, err)
 	}
 	if st == StateDone {
-		m.mEvicted.Add(int64(m.cache.unpin(fl.key)))
+		m.unpinResultLocked(fl.key)
 	}
 }
 
@@ -687,7 +688,7 @@ func (m *Manager) finishLocked(j *Job, st State, divQ *field.CC[float64], err er
 		return
 	}
 	if st == StateDone {
-		m.cache.pin(j.Key, divQ)
+		m.pinResultLocked(j.Key, divQ)
 		j.pinned = true
 	}
 	// Close the job's journal entry. Best-effort: a failed append only
@@ -709,6 +710,30 @@ func (m *Manager) finishLocked(j *Job, st State, divQ *field.CC[float64], err er
 		_ = m.journal.Append(rec)
 	}
 }
+
+// pinResultLocked pins key's result, storing divQ when the key has none
+// (an existing entry keeps its field: equal keys are equal bits).
+// Callers hold m.mu.
+func (m *Manager) pinResultLocked(key string, divQ *field.CC[float64]) {
+	if m.results.insert(key, divQ, 1) {
+		m.gResultBytes.Add(resultBytes(divQ))
+	}
+	m.gResults.Set(m.results.cost)
+}
+
+// unpinResultLocked drops one pin on key's result, counting the idle
+// results the CacheEntries bound evicts. Callers hold m.mu.
+func (m *Manager) unpinResultLocked(key string) {
+	evicted := m.results.unpin(key)
+	for _, divQ := range evicted {
+		m.gResultBytes.Add(-resultBytes(divQ))
+	}
+	m.mEvicted.Add(int64(len(evicted)))
+	m.gResults.Set(m.results.cost)
+}
+
+// resultBytes is the memory a result's values take.
+func resultBytes(divQ *field.CC[float64]) int64 { return 8 * int64(len(divQ.Data())) }
 
 // Snapshot is the job's status. Callers hold the manager's mutex.
 func (j *Job) Snapshot() JobStatus {
@@ -750,10 +775,10 @@ func (m *Manager) Result(id string) (*field.CC[float64], JobStatus, bool, error)
 	if j.State != StateDone {
 		return nil, j.Snapshot(), true, j.Err
 	}
-	divQ := m.cache.get(j.Key)
+	divQ := m.results.get(j.Key)
 	if j.pinned {
 		j.pinned = false
-		m.mEvicted.Add(int64(m.cache.unpin(j.Key)))
+		m.unpinResultLocked(j.Key)
 	}
 	return divQ, j.Snapshot(), true, nil
 }

@@ -3,24 +3,26 @@ package service
 import (
 	"fmt"
 	"math"
+	"sync"
 
-	"github.com/uintah-repro/rmcrt/internal/alloc"
-	"github.com/uintah-repro/rmcrt/internal/gpudw"
 	"github.com/uintah-repro/rmcrt/internal/grid"
 	"github.com/uintah-repro/rmcrt/internal/metrics"
 	"github.com/uintah-repro/rmcrt/internal/rmcrt"
 )
 
 // PackedCache is the service-layer analog of the paper's GPU
-// DataWarehouse level database (internal/gpudw): a content-keyed,
-// refcounted cache of the tracer's packed per-level property tables,
-// so concurrent jobs over the same coarse level march through one
-// shared read-only copy instead of re-packing per solve. Tables are
-// keyed by the property-shaping spec fields only — jobs that differ
-// in ray count, seed or threshold still share.
+// DataWarehouse level database: a content-keyed, refcounted cache of
+// the tracer's packed per-level property tables, so concurrent jobs
+// over the same coarse level march through one shared read-only copy
+// instead of re-packing per solve. Tables are keyed by the
+// property-shaping spec fields only — jobs that differ in ray count,
+// seed or threshold still share. Its methods are safe for concurrent
+// use, and builds are single-flight: the first acquirer of a key packs,
+// racing acquirers wait and share the table.
 type PackedCache struct {
-	db    *gpudw.PackedDB
-	arena *alloc.Arena
+	mu       sync.Mutex
+	tables   *store[*rmcrt.PackedLevel]
+	building map[string]chan struct{} // keys being packed; closed when resident
 
 	mBuilds *metrics.Counter
 	mHits   *metrics.Counter
@@ -33,27 +35,23 @@ type PackedCache struct {
 const defaultPackedRetainBytes = 64 << 20
 
 // NewPackedCache creates a cache retaining up to retainBytes of idle
-// tables (0 = default 64 MiB) and, when reg is non-nil, registers the
-// rmcrt_packed_{builds,hits,bytes} series plus the backing arena's
-// byte gauges.
+// tables (0 = default 64 MiB, negative = none: a table is dropped at
+// its last release) and registers the rmcrt_packed_{builds,hits,bytes}
+// series in reg (a private registry when nil).
 func NewPackedCache(retainBytes int64, reg *metrics.Registry) *PackedCache {
 	if retainBytes == 0 {
 		retainBytes = defaultPackedRetainBytes
 	}
-	if retainBytes < 0 {
-		retainBytes = 0
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
-	pc := &PackedCache{
-		db:    gpudw.NewPackedDB(retainBytes),
-		arena: alloc.NewArena(1 << 16),
+	return &PackedCache{
+		tables:   newStore[*rmcrt.PackedLevel](retainBytes),
+		building: make(map[string]chan struct{}),
+		mBuilds:  reg.Counter("rmcrt_packed_builds", "packed property tables built (shared-cache misses)"),
+		mHits:    reg.Counter("rmcrt_packed_hits", "packed property table acquisitions served from the shared cache"),
+		gBytes:   reg.Gauge("rmcrt_packed_bytes", "bytes of packed property tables resident in the shared cache"),
 	}
-	if reg != nil {
-		pc.mBuilds = reg.Counter("rmcrt_packed_builds", "packed property tables built (shared-cache misses)")
-		pc.mHits = reg.Counter("rmcrt_packed_hits", "packed property table acquisitions served from the shared cache")
-		pc.gBytes = reg.Gauge("rmcrt_packed_bytes", "bytes of packed property tables resident in the shared cache")
-		pc.arena.Publish(reg, "rmcrt_packed_arena")
-	}
-	return pc
 }
 
 // tableKey is the content address of one level's packed table: every
@@ -68,32 +66,39 @@ func tableKey(n Spec, level int, roi grid.Box) string {
 		math.Float64bits(n.HotKappa), math.Float64bits(n.HotSigmaT4), level, roi)
 }
 
-// acquireLevel returns the (possibly shared) packed table for one
-// level, building it at most once per residency.
-func (pc *PackedCache) acquireLevel(key string, ld *rmcrt.LevelData) (*rmcrt.PackedLevel, error) {
-	built := false
-	t, err := pc.db.Acquire(key, func() (gpudw.PackedTable, error) {
-		built = true
-		return rmcrt.PackLevel(ld, pc.arena), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if built {
-		if pc.mBuilds != nil {
-			pc.mBuilds.Inc()
+// acquire pins key's table, packing ld at most once per residency: an
+// acquirer that finds the key mid-build waits for it. Callers balance
+// it with an unpin.
+func (pc *PackedCache) acquire(key string, ld *rmcrt.LevelData) *rmcrt.PackedLevel {
+	pc.mu.Lock()
+	for {
+		if t, ok := pc.tables.pin(key); ok {
+			pc.mu.Unlock()
+			pc.mHits.Inc()
+			return t
 		}
-	} else if pc.mHits != nil {
-		pc.mHits.Inc()
+		ready, ok := pc.building[key]
+		if !ok {
+			break
+		}
+		pc.mu.Unlock()
+		<-ready
+		pc.mu.Lock()
 	}
-	pc.syncBytes()
-	return t.(*rmcrt.PackedLevel), nil
-}
+	ready := make(chan struct{})
+	pc.building[key] = ready
+	pc.mu.Unlock()
+	pc.mBuilds.Inc()
 
-func (pc *PackedCache) syncBytes() {
-	if pc.gBytes != nil {
-		pc.gBytes.Set(pc.db.ResidentBytes())
-	}
+	t := rmcrt.PackLevel(ld, nil)
+
+	pc.mu.Lock()
+	pc.tables.insert(key, t, t.SizeBytes())
+	delete(pc.building, key)
+	close(ready)
+	pc.gBytes.Set(pc.tables.cost)
+	pc.mu.Unlock()
+	return t
 }
 
 // attach acquires the packed table of every level of d (building each
@@ -102,37 +107,30 @@ func (pc *PackedCache) syncBytes() {
 // finish before calling it. n must be the normalized spec that shaped
 // d's property fields — it is what makes the content key sound.
 func (pc *PackedCache) attach(n Spec, d *rmcrt.Domain) (release func(), err error) {
-	keys := make([]string, 0, len(d.Levels))
-	levels := make([]*rmcrt.PackedLevel, 0, len(d.Levels))
-	releaseAcquired := func() {
-		for _, k := range keys {
-			pc.db.Release(k)
-		}
-		pc.syncBytes()
-	}
+	keys := make([]string, len(d.Levels))
+	levels := make([]*rmcrt.PackedLevel, len(d.Levels))
 	for li := range d.Levels {
-		key := tableKey(n, li, d.Levels[li].ROI)
-		pl, err := pc.acquireLevel(key, &d.Levels[li])
-		if err != nil {
-			releaseAcquired()
-			return nil, err
+		keys[li] = tableKey(n, li, d.Levels[li].ROI)
+		levels[li] = pc.acquire(keys[li], &d.Levels[li])
+	}
+	release = func() {
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		for _, k := range keys {
+			pc.tables.unpin(k)
 		}
-		keys = append(keys, key)
-		levels = append(levels, pl)
+		pc.gBytes.Set(pc.tables.cost)
 	}
 	if err := d.AttachPacked(rmcrt.NewPackedDomain(levels)); err != nil {
-		releaseAcquired()
+		release()
 		return nil, err
 	}
-	return releaseAcquired, nil
+	return release, nil
 }
 
 // Builds returns how many tables were actually packed. For tests.
-func (pc *PackedCache) Builds() int64 { return pc.db.Builds() }
+func (pc *PackedCache) Builds() int64 { return pc.mBuilds.Value() }
 
 // Hits returns how many acquisitions shared a resident table. For
 // tests.
-func (pc *PackedCache) Hits() int64 { return pc.db.Hits() }
-
-// ResidentBytes returns the bytes of tables currently resident.
-func (pc *PackedCache) ResidentBytes() int64 { return pc.db.ResidentBytes() }
+func (pc *PackedCache) Hits() int64 { return pc.mHits.Value() }

@@ -1,8 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"strconv"
+	"strings"
 	"testing"
+
+	"github.com/uintah-repro/rmcrt/internal/metrics"
 )
 
 // assertSameField fails unless a and b are bitwise identical.
@@ -101,26 +106,6 @@ func TestPackedCacheSharesCoarseLevel(t *testing.T) {
 	}
 }
 
-// PackedRetainBytes < 0 disables the shared cache entirely; solves
-// pack privately and still succeed.
-func TestPackedCacheDisabled(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, PackedRetainBytes: -1})
-	if m.Packed() != nil {
-		t.Fatal("cache present despite PackedRetainBytes < 0")
-	}
-	st, err := m.Submit(fastSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := m.Wait(context.Background(), st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone {
-		t.Fatalf("state = %s (err %q), want done", final.State, final.Error)
-	}
-}
-
 // Checkpointed solving draws tables from the same shared cache.
 func TestCheckpointedSolveUsesPackedCache(t *testing.T) {
 	spec := Spec{Kind: KindUniform, N: 16, Levels: 2, PatchN: 8, RR: 2, Rays: 3}
@@ -142,5 +127,51 @@ func TestCheckpointedSolveUsesPackedCache(t *testing.T) {
 	assertSameField(t, "checkpointed", got.Data(), want.Data())
 	if pc.Builds() == 0 || pc.Hits() == 0 {
 		t.Fatalf("builds=%d hits=%d: checkpointed solve did not share tables", pc.Builds(), pc.Hits())
+	}
+}
+
+// TestPackedByteGaugesBoundedByResident: packing more distinct levels
+// than the idle budget holds, every rmcrt_packed_*_bytes series on
+// /metrics stays within the bytes actually resident (referenced plus
+// retained), which the budget bounds once every table is released.
+func TestPackedByteGaugesBoundedByResident(t *testing.T) {
+	reg := metrics.NewRegistry()
+	const budget = 256 << 10
+	pc := NewPackedCache(budget, reg)
+	var packed int64
+	for n := 8; n <= 20; n += 2 {
+		spec := Spec{Kind: KindBenchmark, N: n, Rays: 1}.Normalized()
+		_, probs, err := spec.problems()
+		if err != nil {
+			t.Fatal(err)
+		}
+		release, err := pc.attach(spec, probs[0].domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		packed += int64(n * n * n * 24)
+	}
+	resident := pc.tables.cost
+	if resident > budget || packed <= 2*budget {
+		t.Fatalf("resident %d bytes (budget %d) after packing ~%d", resident, budget, packed)
+	}
+	var text bytes.Buffer
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, line := range strings.Split(text.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, "rmcrt_packed_") || !strings.HasSuffix(name, "_bytes") {
+			continue
+		}
+		seen++
+		if v, err := strconv.ParseInt(val, 10, 64); err != nil || v > resident {
+			t.Errorf("%s = %s, want <= %d resident bytes", name, val, resident)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no rmcrt_packed_*_bytes series exported")
 	}
 }

@@ -233,7 +233,7 @@ func issue(ctx context.Context, cfg RunConfig, sub Submission) (Outcome, float64
 	}
 	if terminalState(st.State) {
 		// Cache hits come back already terminal.
-		return classify(st), time.Since(submitAt).Seconds() * 1e3, false
+		return settle(ctx, cfg, sub, st, submitAt)
 	}
 
 	deadline := time.NewTimer(cfg.JobTimeout)
@@ -253,9 +253,36 @@ func issue(ctx context.Context, cfg RunConfig, sub Submission) (Outcome, float64
 			continue // transient scrape failure: keep polling until the budget
 		}
 		if terminalState(cur.State) {
-			return classify(cur), time.Since(submitAt).Seconds() * 1e3, false
+			return settle(ctx, cfg, sub, cur, submitAt)
 		}
 	}
+}
+
+// settle classifies a terminal job, then reads and discards a done
+// job's result: a server keeps a result resident until its first read,
+// so a load generator that never read one would grow its target by one
+// result per job. Latency is taken before the read: submit→terminal.
+func settle(ctx context.Context, cfg RunConfig, sub Submission, st jobStatus, submitAt time.Time) (Outcome, float64, bool) {
+	latencyMs := time.Since(submitAt).Seconds() * 1e3
+	if st.State == "done" {
+		discardResult(ctx, cfg, st.ID, service.ResultBodyLimit(sub.Spec))
+	}
+	return classify(st), latencyMs, false
+}
+
+// discardResult reads up to limit bytes of a job's result and drops
+// them. A failed read changes nothing the runner reports.
+func discardResult(ctx context.Context, cfg RunConfig, id string, limit int64) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.Target+"/v1/jobs/"+id+"/result", nil)
+	if err != nil {
+		return
+	}
+	resp, err := cfg.Client.Do(req)
+	if err != nil {
+		return
+	}
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, limit))
+	resp.Body.Close()
 }
 
 func pollJob(ctx context.Context, cfg RunConfig, id string) (jobStatus, error) {
@@ -289,8 +316,10 @@ func classify(st jobStatus) Outcome {
 	case "cancelled":
 		return OutcomeCancelled
 	}
-	// Deadline errors cross HTTP as strings; match textually like the
-	// cluster router does.
+	// A deadline failure reaches a client as text only, so match its
+	// wording. (The router, which also reads shard errors as text,
+	// re-wraps them as service.ErrDeadlineExceeded and classifies with
+	// errors.Is.)
 	if strings.Contains(st.Error, "deadline exceeded") {
 		return OutcomeDeadline
 	}
