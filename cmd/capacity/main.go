@@ -1,9 +1,9 @@
 // Command capacity is the planner that answers the paper's scaling
 // question as a product question: what fleet serves this workload at
-// this SLO? It sweeps fleet size × workload spec through the
-// calibrated cost model's deterministic queueing simulation
-// (internal/calib) and reports per-class latency percentiles, fleet
-// utilization, and the smallest fleet meeting every SLO target.
+// this SLO? It sweeps fleet size × workload spec through a
+// deterministic queueing simulation priced by the calibrated cost
+// model (internal/calib) and reports per-class latency percentiles,
+// fleet utilization, and the smallest fleet meeting every SLO target.
 //
 //	capacity -scenario smoke -slo interactive=0.5,batch=5
 //	capacity -scenario overload -calibration cal.json -max-shards 32 -json
@@ -92,7 +92,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	res, err := calib.Plan(calib.PlanOptions{
+	res, err := Plan(PlanOptions{
 		Workload: w, Seed: *seed,
 		MinShards: *minShards, MaxShards: *maxShards,
 		WorkersPerShard: *workers,
@@ -132,7 +132,7 @@ func parseSLO(s string) (map[string]float64, error) {
 
 // writeTable renders the plan deterministically: classes in rank
 // order, fixed float widths, no wall-clock or host content.
-func writeTable(w io.Writer, res *calib.PlanResult, slo map[string]float64) {
+func writeTable(w io.Writer, res *PlanResult, slo map[string]float64) {
 	fmt.Fprintf(w, "workload %q seed %d: %d jobs, %.4fs predicted single-worker work\n",
 		res.Workload, res.Seed, res.Jobs, res.PredictedWorkSeconds)
 	if len(slo) > 0 {

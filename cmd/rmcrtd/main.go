@@ -62,13 +62,13 @@ func run(args []string, notify func(addr string)) error {
 		return err
 	}
 
-	var costModel func(service.Spec) float64
+	var cal *calib.Calibration
 	if *calPath != "" {
-		cal, err := calib.Load(*calPath)
+		loaded, err := calib.Load(*calPath)
 		if err != nil {
 			return fmt.Errorf("calibration: %w", err)
 		}
-		costModel = cal.Seconds
+		cal = &loaded
 		log.Printf("rmcrtd: calibration %s: %.3g s/step, %.3g s/ray, %.3g s base (host %s)",
 			*calPath, cal.SecondsPerStep, cal.SecondsPerRay, cal.SecondsBase, cal.Host)
 	}
@@ -80,7 +80,7 @@ func run(args []string, notify func(addr string)) error {
 		MaxCells:      *maxCells,
 		JournalPath:   *journal,
 		CheckpointDir: *ckptDir,
-		CostModel:     costModel,
+		Calibration:   cal,
 	})
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)

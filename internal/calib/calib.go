@@ -1,11 +1,10 @@
 // Package calib closes the observe-predict-calibrate loop between the
-// analytical cost model (internal/perfmodel, internal/sim) and real
-// measurements: it derives per-step/per-ray/per-solve cost
-// coefficients from instrumented runs (the tracer's DDA step and ray
-// counters plus wall time), packages them as a Calibration that
-// predicts wall-seconds for any service.Spec before solving it, and
-// validates the prediction with MAPE and Pearson-r against held
-// measurements.
+// analytical cost model (internal/perfmodel) and real measurements: it
+// derives per-step/per-ray/per-solve cost coefficients from
+// instrumented runs (the tracer's DDA step and ray counters plus wall
+// time), packages them as a Calibration that predicts wall-seconds for
+// a solve's Work before the solve runs, and validates the prediction
+// with MAPE and Pearson-r against held measurements.
 //
 // The calibration surface is deliberately minimal — three fitted
 // coefficients plus one steps-model scale factor per level count —
@@ -13,12 +12,14 @@
 // MAPE/Pearson-validated" discipline rather than a lookup table: small
 // surfaces transfer across hosts and stay diagnosable when they drift.
 //
-// One model serves everything downstream: the cluster router's
-// shortest-job-first ordering key and deadline feasibility check
-// (internal/cluster), the daemon's admission-time estimator
-// (internal/service via its CostModel hook), the capacity planner
-// (cmd/capacity), and the simulator's machine constants
-// (Calibration.Machine).
+// The package is a leaf of the serving stack: it prices a small value
+// type and imports nothing but the analytical model. One model serves
+// everything downstream: the cluster router's shortest-job-first
+// ordering key and deadline feasibility check (internal/cluster), the
+// daemon's admission-time estimator (internal/service), the capacity
+// planner (cmd/capacity) and the calibration gate (perfgate
+// -calibrate), which measures the sweep the coefficients are fitted
+// from.
 package calib
 
 import (
@@ -28,8 +29,34 @@ import (
 	"os"
 
 	"github.com/uintah-repro/rmcrt/internal/perfmodel"
-	"github.com/uintah-repro/rmcrt/internal/service"
 )
+
+// Work is what the cost model prices: the few quantities of one solve
+// that decide its cost, read from a normalized spec. The JSON names
+// are the spec's, so a recorded spec decodes as its Work.
+type Work struct {
+	// N is the fine-level resolution (N³ cells).
+	N int `json:"n"`
+	// Levels is 1 (single fine mesh) or 2 (fine patches over a coarse
+	// radiation mesh).
+	Levels int `json:"levels"`
+	// PatchN, RR and Halo shape a 2-level solve: the fine patch size,
+	// the fine→coarse refinement ratio and the fine-level halo.
+	PatchN int `json:"patch_n"`
+	RR     int `json:"rr"`
+	Halo   int `json:"halo"`
+	// Rays is the per-cell ray budget the solve is priced at: the
+	// adaptive upper bound for adaptive solves, times the band count
+	// for spectral ones, so predictions stay feasibility-safe upper
+	// bounds for those modes.
+	Rays int `json:"rays"`
+}
+
+// Cells returns the fine-level cell count.
+func (w Work) Cells() int64 {
+	n := int64(w.N)
+	return n * n * n
+}
 
 // Calibration prices a solve before running it: predicted wall-seconds
 // as an affine function of the analytically predicted step and ray
@@ -80,29 +107,24 @@ func Default() Calibration {
 	}
 }
 
-// ModelSteps predicts the total DDA cell-step count of a spec's solve
-// from internal/perfmodel's mean-chord model: for 2-level
-// configurations the per-patch kernel work times the patch count, and
-// for single-level solves cells × rays × the mean-chord step count of
-// the cube. This is the analytical half of the loop — no measured
-// quantities. The per-cell ray budget is the spec's pricing bound
-// (Spec.CostRays): AdaptiveMaxRays for adaptive solves and ×K bands
-// for spectral ones, keeping predictions feasibility-safe upper
-// bounds for those modes.
-func ModelSteps(spec service.Spec) float64 {
-	n := spec.Normalized()
-	rays := n.CostRays()
-	if n.Levels == 2 && n.RR > 0 && n.N%n.RR == 0 && n.PatchN > 0 && n.N%n.PatchN == 0 {
+// ModelSteps predicts the total DDA cell-step count of a solve from
+// internal/perfmodel's mean-chord model: for 2-level configurations
+// the per-patch kernel work times the patch count, and for
+// single-level solves cells × rays × the mean-chord step count of the
+// cube. This is the analytical half of the loop — no measured
+// quantities.
+func ModelSteps(w Work) float64 {
+	if w.Levels == 2 && w.RR > 0 && w.N%w.RR == 0 && w.PatchN > 0 && w.N%w.PatchN == 0 {
 		p := perfmodel.Problem{
-			FineN: n.N, CoarseN: n.N / n.RR, PatchN: n.PatchN,
-			Rays: rays, Props: 3, Halo: n.Halo,
+			FineN: w.N, CoarseN: w.N / w.RR, PatchN: w.PatchN,
+			Rays: w.Rays, Props: 3, Halo: w.Halo,
 		}
-		// Guard the model output: extreme-but-valid specs can overflow
+		// Guard the model output: extreme-but-valid work can overflow
 		// the integer patch count, and a poisoned ordering key would
 		// corrupt the SJF heap invariant downstream.
 		if p.Validate() == nil {
-			if w := p.KernelWork() * float64(p.FinePatches()); w > 0 && !math.IsInf(w, 0) {
-				return w
+			if m := p.KernelWork() * float64(p.FinePatches()); m > 0 && !math.IsInf(m, 0) {
+				return m
 			}
 		}
 	}
@@ -110,18 +132,16 @@ func ModelSteps(spec service.Spec) float64 {
 	// wall — half the mean chord, 1.5 axis steps per chord cell. All
 	// float math: N³ in int64 overflows long before float64 loses the
 	// ordering.
-	steps := 0.66 * 1.5 * float64(n.N) / 2
-	cells := float64(n.N) * float64(n.N) * float64(n.N)
-	return cells * float64(rays) * steps
+	steps := 0.66 * 1.5 * float64(w.N) / 2
+	cells := float64(w.N) * float64(w.N) * float64(w.N)
+	return cells * float64(w.Rays) * steps
 }
 
-// ModelRays predicts the ray count of a spec's solve: one priced ray
-// budget (Spec.CostRays — the adaptive/spectral upper bound) per fine
-// cell, both single- and 2-level (rays originate on the fine level
-// only).
-func ModelRays(spec service.Spec) float64 {
-	n := spec.Normalized()
-	return float64(n.Cells()) * float64(n.CostRays())
+// modelRays predicts the ray count of a solve: one priced ray budget
+// per fine cell, both single- and 2-level (rays originate on the fine
+// level only).
+func modelRays(w Work) float64 {
+	return float64(w.Cells()) * float64(w.Rays)
 }
 
 // stepsScale returns the level-appropriate model correction.
@@ -136,10 +156,10 @@ func (c Calibration) stepsScale(levels int) float64 {
 	return s
 }
 
-// Steps predicts the spec's DDA cell-step count with the calibrated
+// Steps predicts the solve's DDA cell-step count with the calibrated
 // model correction applied.
-func (c Calibration) Steps(spec service.Spec) float64 {
-	return c.stepsScale(spec.Normalized().Levels) * ModelSteps(spec)
+func (c Calibration) Steps(w Work) float64 {
+	return c.stepsScale(w.Levels) * ModelSteps(w)
 }
 
 // perStep returns the level-appropriate fitted step rate.
@@ -150,29 +170,9 @@ func (c Calibration) perStep(levels int) float64 {
 	return c.SecondsPerStep
 }
 
-// Seconds predicts the spec's solve wall time on the calibrated host.
-func (c Calibration) Seconds(spec service.Spec) float64 {
-	levels := spec.Normalized().Levels
-	return c.SecondsBase + c.perStep(levels)*c.Steps(spec) + c.SecondsPerRay*ModelRays(spec)
-}
-
-// SecondsFromCounters prices a solve from raw step and ray counts —
-// the same affine model Seconds uses, for callers that hold measured
-// counters instead of a spec.
-func (c Calibration) SecondsFromCounters(steps, rays float64) float64 {
-	return c.SecondsBase + c.SecondsPerStep*steps + c.SecondsPerRay*rays
-}
-
-// Machine returns m with its per-core CPU tracing throughput replaced
-// by the calibrated steps-per-second rate, so internal/sim sweeps run
-// on measured constants instead of the hand-tuned Titan numbers. Only
-// the CPU rate is replaced: the calibration is host-CPU-derived and
-// says nothing about m's GPU or interconnect.
-func (c Calibration) Machine(m perfmodel.Machine) perfmodel.Machine {
-	if c.SecondsPerStep > 0 && !math.IsInf(c.SecondsPerStep, 0) {
-		m.CPUThroughput = 1 / c.SecondsPerStep
-	}
-	return m
+// Seconds predicts the solve's wall time on the calibrated host.
+func (c Calibration) Seconds(w Work) float64 {
+	return c.SecondsBase + c.perStep(w.Levels)*c.Steps(w) + c.SecondsPerRay*modelRays(w)
 }
 
 // Validate checks that the calibration prices work sanely: positive

@@ -1,18 +1,12 @@
 package calib
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"testing"
-
-	"github.com/uintah-repro/rmcrt/internal/perfmodel"
-	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -64,98 +58,24 @@ func TestFitGoldenCoefficients(t *testing.T) {
 	}
 }
 
-// The acceptance gate of the observe-predict-calibrate loop: a short
-// instrumented sweep (>= 8 configurations spanning sizes and level
-// structures), fitted and then scored through the full spec-level
-// prediction path, must reach MAPE <= 30% and Pearson r >= 0.9 — at
-// each of the paper-style thread counts, since per-step cost depends
-// on parallel efficiency and each setting gets its own calibration.
-func TestCalibrationAcceptance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("instrumented sweep is wall-time-sensitive; skipped in -short")
-	}
-	for _, procs := range []int{1, 4, 16} {
-		t.Run(map[int]string{1: "gomaxprocs-1", 4: "gomaxprocs-4", 16: "gomaxprocs-16"}[procs], func(t *testing.T) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-			c, rep, err := Calibrate(context.Background(), MeasureOptions{Repeats: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if len(rep.Rows) < 8 {
-				t.Fatalf("report covers %d configurations, want >= 8", len(rep.Rows))
-			}
-			if rep.MAPE > 30 {
-				t.Errorf("MAPE = %.2f%%, want <= 30%%\n%s", rep.MAPE, reportText(rep))
-			}
-			if rep.PearsonR < 0.9 {
-				t.Errorf("Pearson r = %.4f, want >= 0.9\n%s", rep.PearsonR, reportText(rep))
-			}
-			if c.GoMaxProcs != procs {
-				t.Errorf("calibration records gomaxprocs %d, want %d", c.GoMaxProcs, procs)
-			}
-		})
-	}
-}
-
-func reportText(rep Report) string {
-	b, _ := json.MarshalIndent(rep, "", "  ")
-	return string(b)
-}
-
-// SJF dispatch orders by predicted cost, so the calibrated prediction
-// must rank specs the way measured solve time ranks them. Exact rank
-// equality on near-ties would just test noise; the contract is on
-// clearly separated pairs (>= 1.5x measured gap).
-func TestSJFOrderMatchesMeasured(t *testing.T) {
-	if testing.Short() {
-		t.Skip("instrumented sweep is wall-time-sensitive; skipped in -short")
-	}
-	samples, err := Measure(context.Background(), MeasureOptions{Repeats: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Fit(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].Seconds < samples[j].Seconds })
-	for i := range samples {
-		for j := i + 1; j < len(samples); j++ {
-			if samples[j].Seconds < samples[i].Seconds*1.5 {
-				continue
-			}
-			pi, pj := c.Seconds(samples[i].Spec), c.Seconds(samples[j].Spec)
-			if pi >= pj {
-				t.Errorf("SJF inversion: %s measured %.4fs predicted %.4fs, but %s measured %.4fs predicted %.4fs",
-					samples[i].Name, samples[i].Seconds, pi,
-					samples[j].Name, samples[j].Seconds, pj)
-			}
-		}
-	}
-}
-
 // Default() must preserve the pre-calibration SJF behavior exactly:
 // it is a fixed positive multiple of the analytical step count, so
 // ordering by Default().Seconds is ordering by ModelSteps.
 func TestDefaultPreservesStepOrder(t *testing.T) {
-	specs := DefaultSpecs()
+	samples := loadSamples(t)
 	d := Default()
-	for i := range specs {
-		for j := range specs {
-			si, sj := ModelSteps(specs[i]), ModelSteps(specs[j])
-			pi, pj := d.Seconds(specs[i]), d.Seconds(specs[j])
-			if (si < sj) != (pi < pj) {
+	for _, a := range samples {
+		for _, b := range samples {
+			sa, sb := ModelSteps(a.Work), ModelSteps(b.Work)
+			pa, pb := d.Seconds(a.Work), d.Seconds(b.Work)
+			if (sa < sb) != (pa < pb) {
 				t.Fatalf("Default() reorders %s vs %s: steps %g vs %g, seconds %g vs %g",
-					SpecName(specs[i]), SpecName(specs[j]), si, sj, pi, pj)
+					a.Name, b.Name, sa, sb, pa, pb)
 			}
 		}
 	}
-	if d.Seconds(specs[0]) <= 0 {
-		t.Fatal("Default() prices a valid spec at <= 0 seconds")
+	if d.Seconds(samples[0].Work) <= 0 {
+		t.Fatal("Default() prices valid work at <= 0 seconds")
 	}
 }
 
@@ -163,10 +83,10 @@ func TestDefaultPreservesStepOrder(t *testing.T) {
 // 2-parameter systems singular; Fit must still produce a valid
 // calibration via the through-origin fallback rather than erroring.
 func TestFitDegenerateFallsBack(t *testing.T) {
-	spec := service.Spec{Kind: service.KindBenchmark, N: 8, Rays: 8}
+	w := Work{N: 8, Levels: 1, PatchN: 8, RR: 2, Halo: 4, Rays: 8}
 	samples := []Sample{
-		{Name: "a", Spec: spec, Steps: 1000, Rays: 100, Seconds: 0.010},
-		{Name: "b", Spec: spec, Steps: 1000, Rays: 100, Seconds: 0.012},
+		{Name: "a", Work: w, Steps: 1000, Rays: 100, Seconds: 0.010},
+		{Name: "b", Work: w, Steps: 1000, Rays: 100, Seconds: 0.012},
 	}
 	c, err := Fit(samples)
 	if err != nil {
@@ -216,24 +136,6 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 	if _, err := Load(bad); err == nil {
 		t.Error("Load accepted a negative per-step cost")
-	}
-}
-
-// Calibration.Machine feeds the measured rate back into the simulator:
-// the returned machine's CPU throughput must be the reciprocal of the
-// fitted per-step cost, with everything else untouched.
-func TestMachineCalibration(t *testing.T) {
-	base := perfmodel.Titan()
-	c := Calibration{SecondsPerStep: 2e-8}
-	m := c.Machine(base)
-	if want := 5e7; m.CPUThroughput != want {
-		t.Errorf("CPUThroughput = %g, want %g", m.CPUThroughput, want)
-	}
-	if m.NetBandwidth != base.NetBandwidth || m.CoresPerNode != base.CoresPerNode {
-		t.Error("Machine() touched fields beyond CPUThroughput")
-	}
-	if m := (Calibration{}).Machine(base); m != base {
-		t.Error("zero calibration must leave the machine unchanged")
 	}
 }
 

@@ -3,11 +3,9 @@ package calib
 import (
 	"fmt"
 	"math"
-
-	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
-// Sample is one instrumented observation: a solved spec with its
+// Sample is one instrumented observation: a solve's work with its
 // measured tracer counters and wall time. The counters come straight
 // from the engine's TraceMetrics accounting (DDA cell-steps and rays,
 // merged per tile), so the fit regresses wall time on the true work
@@ -15,8 +13,9 @@ import (
 type Sample struct {
 	// Name labels the configuration in reports and goldens.
 	Name string `json:"name"`
-	// Spec is the solved configuration.
-	Spec service.Spec `json:"spec"`
+	// Work is what the solve is priced at. It decodes from the solved
+	// spec, recorded under "spec".
+	Work Work `json:"spec"`
 	// Steps and Rays are the measured tracer counters.
 	Steps float64 `json:"steps"`
 	Rays  float64 `json:"rays"`
@@ -57,8 +56,8 @@ func Fit(samples []Sample) (Calibration, error) {
 	// Steps-model correction per level count.
 	var meas1, model1, meas2, model2 float64
 	for _, s := range samples {
-		m := ModelSteps(s.Spec)
-		if s.Spec.Normalized().Levels == 2 {
+		m := ModelSteps(s.Work)
+		if s.Work.Levels == 2 {
 			meas2 += s.Steps
 			model2 += m
 		} else {
@@ -110,7 +109,7 @@ func Fit(samples []Sample) (Calibration, error) {
 func fit4(samples []Sample) (base, perStep1, perStep2, perRay float64, ok bool) {
 	var n1, n2 int
 	for _, s := range samples {
-		if s.Spec.Normalized().Levels == 2 {
+		if s.Work.Levels == 2 {
 			n2++
 		} else {
 			n1++
@@ -123,7 +122,7 @@ func fit4(samples []Sample) (base, perStep1, perStep2, perRay float64, ok bool) 
 	for _, s := range samples {
 		w := relWeight(s)
 		var s1, s2 float64
-		if s.Spec.Normalized().Levels == 2 {
+		if s.Work.Levels == 2 {
 			s2 = s.Steps
 		} else {
 			s1 = s.Steps
@@ -314,8 +313,8 @@ type Report struct {
 }
 
 // Evaluate scores the calibration against measured samples. The
-// prediction goes through the full spec path (Calibration.Seconds) —
-// model steps with the calibrated correction, not the sample's
+// prediction goes through the full pricing path (Calibration.Seconds)
+// — model steps with the calibrated correction, not the sample's
 // measured counters — so the report measures what admission control
 // will actually see.
 func Evaluate(c Calibration, samples []Sample) Report {
@@ -324,13 +323,12 @@ func Evaluate(c Calibration, samples []Sample) Report {
 	pred := make([]float64, len(samples))
 	meas := make([]float64, len(samples))
 	for i, s := range samples {
-		n := s.Spec.Normalized()
-		p := c.Seconds(s.Spec)
+		p := c.Seconds(s.Work)
 		pct := math.Abs(p-s.Seconds) / s.Seconds * 100
 		sumPct += pct
 		pred[i], meas[i] = p, s.Seconds
 		rep.Rows = append(rep.Rows, ReportRow{
-			Name: s.Name, Levels: n.Levels, Cells: n.Cells(), Rays: n.Rays,
+			Name: s.Name, Levels: s.Work.Levels, Cells: s.Work.Cells(), Rays: s.Work.Rays,
 			MeasuredSec: s.Seconds, PredictedSec: p, AbsPctErr: pct,
 		})
 	}

@@ -9,9 +9,8 @@
 // service.PackedCache, and the affinity router steers jobs whose
 // property-shaping spec matches a shard's warm tables onto that shard.
 // Because the solver is deterministic, a job rerouted after a shard
-// dies produces the bitwise-identical divQ the lost shard would have —
-// the same argument that makes the service layer's retry-on-rank-loss
-// sound.
+// dies produces the bitwise-identical divQ the lost shard would have,
+// so a reroute is invisible in the answer.
 package cluster
 
 import (
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"github.com/uintah-repro/rmcrt/internal/calib"
-
 	"github.com/uintah-repro/rmcrt/internal/metrics"
 	"github.com/uintah-repro/rmcrt/internal/resilience"
 	"github.com/uintah-repro/rmcrt/internal/service"
@@ -412,7 +410,8 @@ func (c *Cluster) SubmitDeadline(spec service.Spec, deadline time.Time) (JobStat
 	if c.jobs.ClosedLocked() {
 		return JobStatus{}, service.ErrClosed
 	}
-	est := c.cal.Seconds(spec)
+	work := spec.Work()
+	est := c.cal.Seconds(work)
 	expired := service.Expired(deadline, time.Now())
 	// Deadline feasibility: with a measured calibration, a job whose
 	// predicted solve time exceeds its entire remaining budget cannot
@@ -434,7 +433,7 @@ func (c *Cluster) SubmitDeadline(spec service.Spec, deadline time.Time) (JobStat
 		JobRecord:   c.jobs.NextLocked(spec, deadline),
 		affinityKey: spec.AffinityKey(),
 		cost:        est,
-		costSteps:   c.cal.Steps(spec),
+		costSteps:   c.cal.Steps(work),
 	}
 	c.jobs.Predicted(est)
 	c.jobs.AddLocked(job)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/uintah-repro/rmcrt/internal/calib"
 	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
@@ -52,8 +53,8 @@ func FuzzRouterSubmit(f *testing.F) {
 		if service.ClassRank(spec.Class) > 2 {
 			t.Fatalf("accepted spec carries unknown class %q", spec.Class)
 		}
-		if cost := EstimateCost(spec); !(cost > 0) || math.IsInf(cost, 0) {
-			t.Fatalf("EstimateCost(%+v) = %g, want finite positive", spec, cost)
+		if cost := calib.Default().Seconds(spec.Work()); !(cost > 0) || math.IsInf(cost, 0) {
+			t.Fatalf("default cost of %+v = %g, want finite positive", spec, cost)
 		}
 	})
 }

@@ -53,6 +53,10 @@ func lcSpec(seed uint64, class string) service.Spec {
 	return service.Spec{Kind: service.KindBenchmark, N: 8, Rays: 10, Seed: seed, Class: class}
 }
 
+// lcCalibration prices lcSpec jobs at tens of microseconds and
+// lcHopeless at about 8 s, on both planes.
+var lcCalibration = &calib.Calibration{SecondsPerStep: 1e-9, StepsScale1: 1, StepsScale2: 1, Samples: 10}
+
 // lcHopeless is priced far beyond any short deadline on both planes.
 func lcHopeless(class string) service.Spec {
 	return service.Spec{Kind: service.KindBenchmark, N: 64, Rays: 1000, Seed: 1, Class: class}
@@ -89,13 +93,8 @@ func lifecycleDaemon(t *testing.T) *lifecycleEnv {
 	reg := metrics.NewRegistry()
 	mgr, _ := startLifecycleDaemon(t, service.Config{
 		Workers: 1, QueueDepth: 1, Metrics: reg,
-		Solver: gatedSolver(gate),
-		CostModel: func(s service.Spec) float64 {
-			if s.N >= 64 {
-				return 3600
-			}
-			return 1e-3
-		},
+		Solver:      gatedSolver(gate),
+		Calibration: lcCalibration,
 	})
 	e := newLifecycleEnv("daemon", "rmcrtd", reg, gate)
 	e.submit = func(spec service.Spec, deadline time.Time) (string, service.State, error) {
@@ -129,7 +128,7 @@ func lifecycleRouter(t *testing.T) *lifecycleEnv {
 		HealthInterval:      50 * time.Millisecond,
 		Client:              &http.Client{Timeout: 2 * time.Second},
 		Metrics:             reg,
-		Calibration:         &calib.Calibration{SecondsPerStep: 1e-9, StepsScale1: 1, StepsScale2: 1, Samples: 10},
+		Calibration:         lcCalibration,
 	})
 	if err != nil {
 		t.Fatal(err)

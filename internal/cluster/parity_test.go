@@ -70,7 +70,7 @@ func startParityDaemon(t *testing.T, o parityOpts, limiter *resilience.Limiter) 
 		}
 	}
 	if o.calibrated {
-		cfg.CostModel = func(service.Spec) float64 { return 1e6 }
+		cfg.Calibration = &calib.Calibration{SecondsPerStep: 1e-300, SecondsBase: 1e6}
 	}
 	mgr := service.New(cfg)
 	srv := httptest.NewServer(service.NewHandlerConfig(mgr, service.HandlerConfig{MaxBody: o.maxBody, Limiter: limiter}))

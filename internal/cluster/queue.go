@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/uintah-repro/rmcrt/internal/calib"
 	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
@@ -21,18 +20,6 @@ const (
 	// minimizing mean wait when job sizes vary widely.
 	SchedSJF = "sjf"
 )
-
-// EstimateCost predicts the wall-seconds of a spec's solve — the
-// cluster's shortest-job-first ordering key and per-class cost proxy —
-// under the default (uncalibrated) cost model. The model itself lives
-// in internal/calib: the analytical mean-chord step count priced at
-// Titan's per-core tracing rate, so ordering is identical to the old
-// raw cell-step estimate while the magnitude reads as seconds.
-// Clusters configured with a measured Calibration price jobs through
-// it instead (see Config.Calibration).
-func EstimateCost(spec service.Spec) float64 {
-	return calib.Default().Seconds(spec)
-}
 
 // validSched reports whether name is a known scheduling policy,
 // defaulting "" to priority.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/uintah-repro/rmcrt/internal/calib"
 	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
@@ -89,24 +90,25 @@ func TestValidSched(t *testing.T) {
 	}
 }
 
-// EstimateCost must order specs by size: more cells or more rays means
-// more predicted work, and the 2-level path stays positive.
+// The default cost model, which prices every uncalibrated router's SJF
+// key, must order specs by size: more cells or more rays means more
+// predicted work, and the 2-level path stays positive.
 func TestEstimateCostMonotonic(t *testing.T) {
 	base := service.Spec{Kind: service.KindBenchmark, N: 8, Rays: 10}
 	bigger := service.Spec{Kind: service.KindBenchmark, N: 16, Rays: 10}
 	rayier := service.Spec{Kind: service.KindBenchmark, N: 8, Rays: 100}
-	c0 := EstimateCost(base)
+	c0 := calib.Default().Seconds(base.Work())
 	if c0 <= 0 {
 		t.Fatalf("cost(base) = %g, want > 0", c0)
 	}
-	if EstimateCost(bigger) <= c0 {
-		t.Fatalf("cost not monotonic in N: %g vs %g", EstimateCost(bigger), c0)
+	if calib.Default().Seconds(bigger.Work()) <= c0 {
+		t.Fatalf("cost not monotonic in N: %g vs %g", calib.Default().Seconds(bigger.Work()), c0)
 	}
-	if EstimateCost(rayier) <= c0 {
-		t.Fatalf("cost not monotonic in rays: %g vs %g", EstimateCost(rayier), c0)
+	if calib.Default().Seconds(rayier.Work()) <= c0 {
+		t.Fatalf("cost not monotonic in rays: %g vs %g", calib.Default().Seconds(rayier.Work()), c0)
 	}
 	ml := service.Spec{Kind: service.KindUniform, N: 16, Levels: 2, PatchN: 8, RR: 2, Rays: 5}
-	if c := EstimateCost(ml); c <= 0 || math.IsInf(c, 0) || math.IsNaN(c) {
+	if c := calib.Default().Seconds(ml.Work()); c <= 0 || math.IsInf(c, 0) || math.IsNaN(c) {
 		t.Fatalf("2-level cost = %g, want finite positive", c)
 	}
 }

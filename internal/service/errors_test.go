@@ -48,12 +48,11 @@ func TestResultWrapsDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestResultWrapsRankLost: a non-transient-path backend failure carrying
-// sched.ErrRankLost stays matchable via both the sched sentinel and the
-// service re-export.
+// TestResultWrapsRankLost: a backend failure carrying sched.ErrRankLost
+// stays matchable via the sched sentinel.
 func TestResultWrapsRankLost(t *testing.T) {
 	m := newTestManager(t, Config{
-		Workers: 1, CacheEntries: -1, DisableRetry: true,
+		Workers: 1, CacheEntries: -1,
 		Solver: func(ctx context.Context, spec Spec) (*field.CC[float64], int64, int64, error) {
 			return nil, 0, 0, fmt.Errorf("solve step 3: %w", sched.ErrRankLost)
 		},
@@ -66,12 +65,6 @@ func TestResultWrapsRankLost(t *testing.T) {
 	_, _, _, err = m.Result(st.ID)
 	if !errors.Is(err, sched.ErrRankLost) {
 		t.Errorf("result error %v does not wrap sched.ErrRankLost", err)
-	}
-	if !errors.Is(err, ErrRankLost) {
-		t.Errorf("result error %v does not match the service re-export", err)
-	}
-	if !IsTransient(err) {
-		t.Errorf("IsTransient(%v) = false for a rank-loss failure", err)
 	}
 }
 
@@ -146,7 +139,7 @@ func TestHTTPCarriesDeadlineError(t *testing.T) {
 // sentinel.
 func TestHTTPCarriesRankLostError(t *testing.T) {
 	m := newTestManager(t, Config{
-		Workers: 1, CacheEntries: -1, DisableRetry: true,
+		Workers: 1, CacheEntries: -1,
 		Solver: func(ctx context.Context, spec Spec) (*field.CC[float64], int64, int64, error) {
 			return nil, 0, 0, fmt.Errorf("timestep 7: %w", sched.ErrRankLost)
 		},

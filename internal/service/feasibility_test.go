@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -8,11 +9,16 @@ import (
 	"testing"
 	"time"
 
+	"github.com/uintah-repro/rmcrt/internal/calib"
 	"github.com/uintah-repro/rmcrt/internal/metrics"
 )
 
+// hopeless prices every solve at 3600 s: the per-step rate is too small
+// to move the fixed cost.
+var hopeless = &calib.Calibration{SecondsPerStep: 1e-300, SecondsBase: 3600}
+
 // TestCostModelFeasibility: with an admission-time cost model wired in
-// (Config.CostModel), a submission whose predicted solve time exceeds
+// (Config.Calibration), a submission whose predicted solve time exceeds
 // its remaining deadline budget is rejected with the typed error before
 // it costs a queue slot or a journal write; jobs without a deadline are
 // admitted and accumulate the predicted-seconds counter; and a cached
@@ -21,7 +27,7 @@ func TestCostModelFeasibility(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m := newTestManager(t, Config{
 		Workers: 1, Metrics: reg,
-		CostModel: func(Spec) float64 { return 3600 },
+		Calibration: hopeless,
 	})
 	spec := Spec{Kind: KindBenchmark, N: 12, Seed: 9}
 
@@ -62,8 +68,8 @@ func TestCostModelFeasibility(t *testing.T) {
 // distinct from queue-full's 429.
 func TestHTTPDeadlineInfeasible422(t *testing.T) {
 	m := newTestManager(t, Config{
-		Workers:   1,
-		CostModel: func(Spec) float64 { return 3600 },
+		Workers:     1,
+		Calibration: hopeless,
 	})
 	srv := httptest.NewServer(NewHandlerConfig(m, HandlerConfig{}))
 	defer srv.Close()
@@ -81,5 +87,15 @@ func TestHTTPDeadlineInfeasible422(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status = %d, want 422", resp.StatusCode)
+	}
+}
+
+// TestRecoverRejectsInvalidCalibration: a calibration that cannot price
+// work (here the zero value, with no per-step cost) refuses to start
+// the daemon, as it refuses to start the router.
+func TestRecoverRejectsInvalidCalibration(t *testing.T) {
+	if m, err := Recover(Config{Workers: 1, Calibration: &calib.Calibration{}}); err == nil {
+		_ = m.Close(context.Background())
+		t.Fatal("Recover accepted a calibration with seconds_per_step 0")
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"sync"
 	"time"
 
+	"github.com/uintah-repro/rmcrt/internal/calib"
 	"github.com/uintah-repro/rmcrt/internal/field"
 	"github.com/uintah-repro/rmcrt/internal/metrics"
 	"github.com/uintah-repro/rmcrt/internal/rmcrt"
-	"github.com/uintah-repro/rmcrt/internal/sched"
 )
 
 // Admission and lifecycle errors.
@@ -34,24 +34,13 @@ var (
 	// cancelled: the client did not ask for it to stop.
 	ErrDeadlineExceeded = errors.New("service: job deadline exceeded")
 	// ErrDeadlineInfeasible rejects a submission whose predicted solve
-	// time (Config.CostModel) already exceeds its remaining deadline
+	// time (Config.Calibration) already exceeds its remaining deadline
 	// budget: it could not finish in time even on an idle worker, so
 	// admitting it would only burn a slot to manufacture a guaranteed
 	// deadline failure. HTTP maps it to 422 — retrying the same job
 	// with the same deadline can never succeed.
 	ErrDeadlineInfeasible = errors.New("service: deadline infeasible for predicted solve time")
-	// ErrRankLost is the distributed backend's typed rank-loss
-	// failure, re-exported so clients of the service layer can match
-	// it without importing the scheduler.
-	ErrRankLost = sched.ErrRankLost
 )
-
-// IsTransient reports whether err is a transient backend failure worth
-// one retry: a lost rank (the peer may return next timestep) rather
-// than a bad spec or a cancelled context.
-func IsTransient(err error) bool {
-	return errors.Is(err, ErrRankLost)
-}
 
 // State is a job's lifecycle phase.
 type State string
@@ -154,24 +143,18 @@ type Config struct {
 	// A job whose solve outruns it fails with ErrDeadlineExceeded —
 	// typed degradation instead of a worker pinned forever.
 	JobDeadline time.Duration
-	// DisableRetry turns off the retry-once-on-transient-failure
-	// policy (see IsTransient). Retries are on by default: a lost rank
-	// is transient, and the solver is deterministic, so a retry that
-	// succeeds yields the exact answer the first attempt would have.
-	DisableRetry bool
 	// Solver overrides how a spec is solved (default: in-process, with
 	// the engine's metrics, the shared packed tables and, when
 	// CheckpointDir is set, per-problem checkpoints). The hook is the
 	// seam for alternate backends and for fault-injection tests; it must
 	// preserve Spec.Solve's determinism contract.
 	Solver func(ctx context.Context, spec Spec) (*field.CC[float64], int64, int64, error)
-	// CostModel, when set, predicts a spec's solve wall-seconds at
-	// admission time — the calibrated cost model's serving hook (a
-	// closure over calib.Calibration.Seconds keeps this package free of
-	// the calib dependency). Submissions with a deadline whose
-	// prediction exceeds the remaining budget are rejected with
-	// ErrDeadlineInfeasible; nil disables estimation entirely.
-	CostModel func(Spec) float64
+	// Calibration, when set, predicts a spec's solve wall-seconds at
+	// admission time (perfgate -calibrate measures one). Submissions
+	// with a deadline whose prediction exceeds the remaining budget are
+	// rejected with ErrDeadlineInfeasible; nil disables estimation
+	// entirely.
+	Calibration *calib.Calibration
 	// Metrics receives the service's instrumentation (a fresh registry
 	// is created when nil).
 	Metrics *metrics.Registry
@@ -237,7 +220,7 @@ type Manager struct {
 	mSubmitted, mRejected, mTooLarge            *metrics.Counter
 	mCacheHit, mCacheMiss, mEvicted, mCoalesced *metrics.Counter
 	mRays, mSteps, mRaysSaved                   *metrics.Counter
-	mRetried, mDeadline                         *metrics.Counter
+	mDeadline                                   *metrics.Counter
 	mReplayed, mTornRecords, mRecovered         *metrics.Counter
 	mResumedPatches                             *metrics.Counter
 	gQueued, gRunning, gLastCkpt                *metrics.Gauge
@@ -279,6 +262,11 @@ func New(cfg Config) *Manager {
 // journal is compacted to the live job set on the way up.
 func Recover(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Calibration != nil {
+		if err := cfg.Calibration.Validate(); err != nil {
+			return nil, err
+		}
+	}
 
 	var recs []JournalRecord
 	tornTail := false
@@ -318,7 +306,6 @@ func Recover(cfg Config) (*Manager, error) {
 	m.mCacheMiss = r.Counter("rmcrtd_cache_misses_total", "submissions that required a solve")
 	m.mEvicted = r.Counter("rmcrtd_cache_evictions_total", "result cache LRU evictions")
 	m.mCoalesced = r.Counter("rmcrtd_jobs_coalesced_total", "submissions coalesced onto an in-flight identical solve")
-	m.mRetried = r.Counter("rmcrtd_jobs_retried_total", "solves retried once after a transient backend failure")
 	m.mDeadline = r.Counter("rmcrtd_jobs_deadline_exceeded_total", "jobs failed by the per-job deadline")
 	m.mRays = r.Counter("rmcrtd_rays_traced_total", "rays traced by completed solves")
 	m.mSteps = r.Counter("rmcrtd_cell_steps_total", "DDA cell steps taken by completed solves")
@@ -479,8 +466,8 @@ func (m *Manager) SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, erro
 	// rejected up front — it cannot meet its deadline even on an idle
 	// worker, so admitting it would only manufacture a guaranteed
 	// deadline failure.
-	if m.cfg.CostModel != nil && !cached {
-		est := m.cfg.CostModel(spec)
+	if m.cfg.Calibration != nil && !cached {
+		est := m.cfg.Calibration.Seconds(spec.Work())
 		if err := m.jobs.Feasible(job.Class, est, deadline); err != nil {
 			return JobStatus{}, err
 		}
@@ -607,13 +594,6 @@ func (m *Manager) runFlight(fl *flight) {
 
 	m.gRunning.Inc()
 	divQ, rays, steps, err := m.solveAttempt(fl, deadline)
-	if err != nil && IsTransient(err) && !m.cfg.DisableRetry && fl.ctx.Err() == nil {
-		// Transient backend failure (rank lost): retry exactly once.
-		// Determinism makes the retry safe — success yields the same
-		// bits the first attempt would have produced.
-		m.mRetried.Inc()
-		divQ, rays, steps, err = m.solveAttempt(fl, deadline)
-	}
 	m.gRunning.Dec()
 	elapsed := time.Since(start).Seconds()
 	m.mRays.Add(rays)
@@ -633,7 +613,7 @@ func (m *Manager) runFlight(fl *flight) {
 		m.pinResultLocked(fl.key, divQ)
 		// Adaptive solves trace at most Cells × AdaptiveMaxRays rays;
 		// the shortfall is the budget the variance-based stopping rule
-		// saved. Clamped at zero: retries can double-count rays.
+		// saved. Clamped at zero: a Config.Solver may report more.
 		if n := fl.spec.Normalized(); n.AdaptiveRelTol > 0 {
 			saved = max(n.Cells()*int64(n.AdaptiveMaxRays)-rays, 0)
 			m.mRaysSaved.Add(saved)

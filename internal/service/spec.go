@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/uintah-repro/rmcrt/internal/calib"
 	"github.com/uintah-repro/rmcrt/internal/field"
 	"github.com/uintah-repro/rmcrt/internal/grid"
 	"github.com/uintah-repro/rmcrt/internal/mathutil"
@@ -355,6 +356,13 @@ func (s Spec) CostRays() int {
 		r *= n.SpectralBands
 	}
 	return r
+}
+
+// Work returns what the cost model prices the spec at: its normalized
+// shape and its CostRays budget.
+func (s Spec) Work() calib.Work {
+	n := s.Normalized()
+	return calib.Work{N: n.N, Levels: n.Levels, PatchN: n.PatchN, RR: n.RR, Halo: n.Halo, Rays: n.CostRays()}
 }
 
 // Key returns the content address of the solve: a hash over the

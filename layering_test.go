@@ -9,24 +9,27 @@ import (
 
 // TestLayering pins the serving stack's direct internal imports to an
 // allow-list, so the reproduction stack (gpudw, alloc, sched, ...) does
-// not creep back into it. Growing a list is a design decision: say why
+// not creep back into it and the cost model stays a leaf under both
+// serving planes. Growing a list is a design decision: say why
 // next to the entry.
 func TestLayering(t *testing.T) {
 	const module = "github.com/uintah-repro/rmcrt/"
 	allowed := map[string][]string{
+		// The cost model is a leaf: it prices a value type (calib.Work)
+		// with the analytical model, so both serving planes can import
+		// it.
+		"internal/calib": {"internal/perfmodel"},
 		"internal/service": {
+			// calib prices admission-time deadline feasibility.
+			"internal/calib",
 			"internal/field", "internal/grid", "internal/mathutil", "internal/metrics",
 			"internal/resilience", "internal/rmcrt",
-			// sched supplies only ErrRankLost, for the retry-once-on-
-			// rank-loss policy; ROADMAP item 6 decides whether the
-			// service keeps that policy.
-			"internal/sched",
 			"internal/uda",
 		},
 		"internal/cluster": {
 			// calib prices jobs for SJF ordering and deadline
-			// feasibility; ROADMAP item 6 gives the cost model a
-			// value-type input, so calib stops importing service.
+			// feasibility, through the same Calibration the daemon
+			// takes.
 			"internal/calib",
 			"internal/metrics", "internal/resilience", "internal/service",
 		},

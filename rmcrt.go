@@ -23,7 +23,6 @@ package rmcrt
 import (
 	"github.com/uintah-repro/rmcrt/internal/arches"
 	"github.com/uintah-repro/rmcrt/internal/dom"
-	"github.com/uintah-repro/rmcrt/internal/field"
 	"github.com/uintah-repro/rmcrt/internal/grid"
 	"github.com/uintah-repro/rmcrt/internal/mathutil"
 	"github.com/uintah-repro/rmcrt/internal/perfmodel"
@@ -40,10 +39,6 @@ type Options = rmcrt.Options
 // Domain is the tracer's view of the AMR hierarchy.
 type Domain = rmcrt.Domain
 
-// LevelData is one level's radiative state (κ, σT⁴/π, cellType) over a
-// region of interest.
-type LevelData = rmcrt.LevelData
-
 // WallFace identifies one face of the enclosure for boundary-flux
 // queries.
 type WallFace = rmcrt.WallFace
@@ -57,9 +52,6 @@ const (
 	ZMinus = rmcrt.ZMinus
 	ZPlus  = rmcrt.ZPlus
 )
-
-// SigmaSB is the Stefan–Boltzmann constant (W/m²K⁴).
-const SigmaSB = rmcrt.SigmaSB
 
 // DefaultOptions returns the paper's benchmark configuration (100 rays
 // per cell, 1e-4 threshold, cold black walls, 4-cell halo).
@@ -76,36 +68,14 @@ func NewMultiLevelBenchmark(fineN, patchN, rr, halo int) (*Grid, func(p *Patch) 
 	return rmcrt.NewMultiLevelBenchmark(fineN, patchN, rr, halo)
 }
 
-// BenchmarkKappa is the Burns & Christon absorption coefficient.
-func BenchmarkKappa(x, y, z float64) float64 { return rmcrt.BenchmarkKappa(x, y, z) }
-
 // FillBenchmark fills benchmark properties over a window.
 var FillBenchmark = rmcrt.FillBenchmark
 
 // FluxMap is a 2-D incident-flux map over one enclosure face.
 type FluxMap = rmcrt.FluxMap
 
-// TraceMetrics is the tracing engine's metrics family (tiles, rays,
-// steps, per-tile timings); attach one to Domain.Metrics to observe a
-// solve.
-type TraceMetrics = rmcrt.TraceMetrics
-
-// NewTraceMetrics registers the tracing family in a metrics registry
-// (idempotently, so many domains can share one registry).
-var NewTraceMetrics = rmcrt.NewTraceMetrics
-
-// SpectralDomain runs the banded (non-gray) RMCRT — the paper's
-// future-work wavelength loop.
-type SpectralDomain = rmcrt.SpectralDomain
-
-// SpectralBand is one band of the box model.
-type SpectralBand = rmcrt.Band
-
 // NewGrayAsSpectral wraps a gray domain as a 1-band spectral domain.
 var NewGrayAsSpectral = rmcrt.NewGrayAsSpectral
-
-// ForwardResult carries a forward-MCRT solve's outputs.
-type ForwardResult = rmcrt.ForwardResult
 
 // BoilerSpec configures the synthetic boiler geometry; DefaultBoiler
 // returns utility-boiler-like parameters.
@@ -118,25 +88,10 @@ func DefaultBoiler() BoilerSpec { return rmcrt.DefaultBoiler() }
 // as a single-level tracer domain.
 var NewBoilerDomain = rmcrt.NewBoilerDomain
 
-// BuildBoiler fills boiler properties over a window.
-var BuildBoiler = rmcrt.BuildBoiler
-
-// DistributedRadiationSolve registers one rank's share of the
-// whole-machine radiation timestep (halo exchange, rank-local
-// coarsening, coarse all-gather, per-rank ray trace).
-type DistributedRadiationSolve = rmcrt.DistributedRadiationSolve
-
-// AlignCoarseOwnership makes coarse patches rank-local to the fine
-// block above them.
-var AlignCoarseOwnership = rmcrt.AlignCoarseOwnership
-
 // --- Grid and fields ----------------------------------------------------
 
 // Grid is the structured AMR hierarchy (coarsest level first).
 type Grid = grid.Grid
-
-// Level is one uniform mesh level.
-type Level = grid.Level
 
 // Patch is a box of cells, the unit of work distribution.
 type Patch = grid.Patch
@@ -163,26 +118,10 @@ func IV(x, y, z int) IntVector { return grid.IV(x, y, z) }
 // V3 constructs a Vec3.
 func V3(x, y, z float64) Vec3 { return mathutil.V3(x, y, z) }
 
-// CellField is a dense cell-centered float64 variable.
-type CellField = field.CC[float64]
-
-// CellTypeField is a dense cell-centered cell-type variable.
-type CellTypeField = field.CC[field.CellType]
-
-// Cell types.
-const (
-	Flow      = field.Flow
-	Boundary  = field.Boundary
-	Intrusion = field.Intrusion
-)
-
 // --- Baseline and coupling ----------------------------------------------
 
 // DOMProblem is a discrete-ordinates baseline configuration.
 type DOMProblem = dom.Problem
-
-// DOMQuadrature is an angular quadrature set for DOM.
-type DOMQuadrature = dom.Quadrature
 
 // SolveDOM runs the discrete ordinates baseline; SolveDOMParallel is
 // the wavefront-parallel (KBA-style) variant with bitwise-identical
@@ -207,12 +146,6 @@ type EnergySolver = arches.Solver
 // EnergyConfig configures the energy solver.
 type EnergyConfig = arches.Config
 
-// NewEnergySolver builds an energy solver.
-var NewEnergySolver = arches.NewSolver
-
-// DefaultEnergyConfig returns furnace-gas-like defaults.
-func DefaultEnergyConfig() EnergyConfig { return arches.DefaultConfig() }
-
 // CheckpointPolicy says when EnergySolver.Run snapshots state into an
 // archive (every N steps, on failure, with a retention bound).
 type CheckpointPolicy = arches.CheckpointPolicy
@@ -232,24 +165,11 @@ type Machine = perfmodel.Machine
 // Titan returns the DOE Titan XK7 machine model.
 func Titan() Machine { return perfmodel.Titan() }
 
-// ScalingProblem describes an RMCRT benchmark configuration for the
-// scaling studies.
-type ScalingProblem = perfmodel.Problem
-
-// MediumProblem and LargeProblem are the paper's two benchmark sizes.
-var (
-	MediumProblem = perfmodel.Medium
-	LargeProblem  = perfmodel.Large
-)
+// LargeProblem is the paper's large benchmark size.
+var LargeProblem = perfmodel.Large
 
 // ScalingConfig controls a strong-scaling simulation.
 type ScalingConfig = sim.Config
-
-// ScalingSeries is one strong-scaling curve.
-type ScalingSeries = sim.Series
-
-// ScalingPoint is one measurement.
-type ScalingPoint = sim.Point
 
 // DefaultScalingConfig returns Titan with the improved infrastructure.
 func DefaultScalingConfig() ScalingConfig { return sim.DefaultConfig() }
@@ -263,9 +183,3 @@ var Efficiency = sim.Efficiency
 
 // TableI regenerates the local-communication comparison of Table I.
 var TableI = sim.TableI
-
-// TableIRow is one column of Table I.
-type TableIRow = sim.TableIRow
-
-// PowersOf2 enumerates GPU counts.
-var PowersOf2 = sim.PowersOf2
