@@ -40,7 +40,7 @@ import (
 var pinnedSets = []benchSet{
 	{
 		Pkg:   "./internal/rmcrt/",
-		Match: "^(BenchmarkSolveRegion|BenchmarkTraceRayPinned|BenchmarkMultiLevelWalk|BenchmarkCounterContention|BenchmarkPackedDDA|BenchmarkMarch|BenchmarkAdaptiveSolve)$",
+		Match: "^(BenchmarkSolveRegion|BenchmarkTraceRayPinned|BenchmarkMultiLevelWalk|BenchmarkCounterContention|BenchmarkPackedDDA|BenchmarkMarch|BenchmarkMarchExp|BenchmarkAdaptiveSolve)$",
 	},
 	{
 		Pkg:   "./internal/service/",
@@ -138,6 +138,13 @@ func defaultRatioGuards() []RatioGuard {
 			Den:  "rmcrt/internal/service:BenchmarkPackedCacheAcquire/acquire=hit",
 			Min:  10,
 			Desc: "a shared-cache hit is at least an order of magnitude cheaper than re-packing the level (measured ~100x)",
+		},
+		{
+			Name: "exp_inline_cpu1",
+			Num:  "rmcrt/internal/rmcrt:BenchmarkMarchExp/path=call",
+			Den:  "rmcrt/internal/rmcrt:BenchmarkMarchExp/path=inline",
+			Min:  0.6,
+			Desc: "the step loops' inlined exp not grossly slower than the math.Exp call on the 4-band march (20 short-sweep ratios on a noisy 2-core host: 0.70-1.66, median 1.24)",
 		},
 	}
 }

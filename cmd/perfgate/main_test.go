@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -179,4 +180,27 @@ func keys(m map[string]*Result) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// The exp_inline_cpu1 guard passes while the inlined exp is faster than
+// the call it replaced and trips once it is grossly slower.
+func TestExpInlineGuard(t *testing.T) {
+	out := func(inline, call int) string {
+		return fmt.Sprintf("pkg: github.com/uintah-repro/rmcrt/internal/rmcrt\n"+
+			"BenchmarkMarchExp/path=inline \t 2\t %d ns/op\n"+
+			"BenchmarkMarchExp/path=call   \t 2\t %d ns/op\n", inline, call)
+	}
+	for _, c := range []struct {
+		inline, call int
+		trips        bool
+	}{{300, 360, false}, {400, 300, false}, {600, 300, true}} {
+		cur, err := parseBenchOutput(out(c.inline, c.call))
+		if err != nil {
+			t.Fatal(err)
+		}
+		problems := checkRatioGuards(defaultRatioGuards(), cur)
+		if tripped := len(problems) == 1 && strings.Contains(problems[0], "exp_inline_cpu1"); tripped != c.trips || len(problems) > 1 {
+			t.Errorf("inline %d, call %d ns/op: problems %v, want tripped=%v", c.inline, c.call, problems, c.trips)
+		}
+	}
 }

@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/uintah-repro/rmcrt/internal/calib"
@@ -184,8 +183,7 @@ func (c Config) withDefaults() Config {
 // the router's placement state. Its Deadline is checked at submit, at
 // dispatch pop and before placement, and forwarded to the shard as
 // remaining milliseconds. Mutable fields are guarded by the cluster
-// mutex; terminalQueued additionally lets the lock-free heap skip
-// cancelled entries.
+// mutex, except heapPos, which the dispatch queue guards.
 type Job struct {
 	service.JobRecord
 	affinityKey string
@@ -206,7 +204,7 @@ type Job struct {
 	result    *service.ResultPayload
 	cancelled bool
 
-	terminalQueued atomic.Bool
+	heapPos int // 1 + index in the dispatch queue's heap; 0 when not queued
 }
 
 // JobStatus is the externally visible snapshot of a cluster job.
@@ -854,7 +852,6 @@ func (c *Cluster) finishLocked(job *Job, st service.State, err error) {
 	if !c.jobs.FinishLocked(job, st, err) {
 		return
 	}
-	job.terminalQueued.Store(true)
 	if st == service.StateDone {
 		if cs := c.classStats[job.Class]; cs != nil {
 			cs.completed++
@@ -1054,7 +1051,9 @@ func (c *Cluster) Cancel(id string) (JobStatus, error) {
 	}
 	job.cancelled = true
 	if job.shard == nil {
-		// Still queued router-side: terminal now; the heap skips it.
+		// Still queued router-side: out of the queue and terminal now.
+		c.queue.remove(job)
+		c.syncQueueGauge()
 		c.finishLocked(job, service.StateCancelled, context.Canceled)
 	}
 	return job.Snapshot(), nil

@@ -346,3 +346,31 @@ func TestLifecycleAccounting(t *testing.T) {
 		})
 	}
 }
+
+// TestRouterCancelFreesQueueSlot: a job cancelled while it waits in the
+// router's one-deep dispatch queue gives its slot back at once, so the
+// next submit is admitted, not refused as queue-full. The only shard
+// slot is held by a parked solve, so the dispatcher cannot drain the
+// queue in between.
+func TestRouterCancelFreesQueueSlot(t *testing.T) {
+	var none time.Time
+	e := lifecycleRouter(t)
+	running, _ := e.accept(t, lcSpec(1, service.ClassInteractive), none)
+	e.waitState(t, running, service.StateRunning)
+	queued, _ := e.accept(t, lcSpec(2, service.ClassBatch), none)
+	if err := e.cancel(queued); err != nil {
+		t.Fatal(err)
+	}
+	e.waitState(t, queued, service.StateCancelled)
+	next, st := e.accept(t, lcSpec(3, service.ClassBatch), none)
+	if st != service.StateQueued {
+		t.Fatalf("submit after the cancel answered %s, want queued", st)
+	}
+	e.reject(t, lcSpec(4, service.ClassBestEffort), none, service.ErrQueueFull)
+	e.check(t)
+	e.release(t)
+	e.waitState(t, running, service.StateDone)
+	e.release(t)
+	e.waitState(t, next, service.StateDone)
+	e.check(t)
+}

@@ -53,19 +53,24 @@ func (q *dispatchQueue) push(j *Job) {
 	q.mu.Unlock()
 }
 
-// pop removes and returns the next job per policy, skipping jobs that
-// went terminal while queued (cancellation leaves them in place). nil
-// when empty.
+// pop removes and returns the next job per policy; nil when empty.
 func (q *dispatchQueue) pop() *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.h.Len() > 0 {
-		j := heap.Pop(&q.h).(*Job)
-		if !j.terminalQueued.Load() {
-			return j
-		}
+	if q.h.Len() == 0 {
+		return nil
 	}
-	return nil
+	return heap.Pop(&q.h).(*Job)
+}
+
+// remove takes j out of the queue if it is there, so that a job
+// cancelled while queued frees its slot at once.
+func (q *dispatchQueue) remove(j *Job) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if j.heapPos > 0 {
+		heap.Remove(&q.h, j.heapPos-1)
+	}
 }
 
 func (q *dispatchQueue) len() int {
@@ -96,9 +101,16 @@ func (h *jobHeap) Less(i, j int) bool {
 	return a.Seq < b.Seq
 }
 
-func (h *jobHeap) Swap(i, j int) { h.jobs[i], h.jobs[j] = h.jobs[j], h.jobs[i] }
+func (h *jobHeap) Swap(i, j int) {
+	h.jobs[i], h.jobs[j] = h.jobs[j], h.jobs[i]
+	h.jobs[i].heapPos, h.jobs[j].heapPos = i+1, j+1
+}
 
-func (h *jobHeap) Push(x any) { h.jobs = append(h.jobs, x.(*Job)) }
+func (h *jobHeap) Push(x any) {
+	j := x.(*Job)
+	h.jobs = append(h.jobs, j)
+	j.heapPos = len(h.jobs)
+}
 
 func (h *jobHeap) Pop() any {
 	old := h.jobs
@@ -106,6 +118,7 @@ func (h *jobHeap) Pop() any {
 	j := old[n-1]
 	old[n-1] = nil
 	h.jobs = old[:n-1]
+	j.heapPos = 0
 	return j
 }
 

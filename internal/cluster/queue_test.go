@@ -66,18 +66,29 @@ func TestQueueSJFOrder(t *testing.T) {
 	}
 }
 
-// Cancelled-while-queued jobs are skipped by pop, not dispatched.
-func TestQueueSkipsTerminal(t *testing.T) {
+// A job removed while queued (a cancel) leaves the queue at once: it
+// no longer counts toward the depth and is never popped. Removing a job
+// that is not queued is a no-op.
+func TestQueueRemove(t *testing.T) {
 	q := newDispatchQueue(SchedFCFS)
-	a, b := queuedJob(1, service.ClassBatch, 1), queuedJob(2, service.ClassBatch, 1)
+	a, b, c := queuedJob(1, service.ClassBatch, 1), queuedJob(2, service.ClassBatch, 1), queuedJob(3, service.ClassBatch, 1)
 	q.push(a)
 	q.push(b)
-	a.terminalQueued.Store(true)
-	if j := q.pop(); j != b {
-		t.Fatalf("pop returned seq %d, want the live job 2", j.Seq)
+	q.push(c)
+	q.remove(b)
+	q.remove(b)
+	if n := q.len(); n != 2 {
+		t.Fatalf("len %d after removing one of three, want 2", n)
+	}
+	if got := popOrder(t, q, 2); got[0] != 1 || got[1] != 3 {
+		t.Fatalf("pop order %v, want [1 3]", got)
 	}
 	if j := q.pop(); j != nil {
-		t.Fatalf("pop returned seq %d, want nil (only a cancelled job remained)", j.Seq)
+		t.Fatalf("pop returned seq %d, want nil", j.Seq)
+	}
+	q.remove(a)
+	if n := q.len(); n != 0 {
+		t.Fatalf("len %d after removing a popped job, want 0", n)
 	}
 }
 

@@ -160,6 +160,27 @@ func TestUnitSphereIsotropy(t *testing.T) {
 	}
 }
 
+// TestSincosMatchesSinCos pins what the direction samplers rely on:
+// math.Sincos(φ) returns exactly math.Sin(φ) and math.Cos(φ), bit for
+// bit, for φ = 2π·u with u in [0, 1) as the samplers form it. The
+// sweep is 2²⁰ evenly spaced u plus 2²⁰ at an irrational stride.
+func TestSincosMatchesSinCos(t *testing.T) {
+	const n = 1 << 20
+	u := 0.0
+	for i := 0; i < 2*n; i++ {
+		if i < n {
+			u = float64(i) / n
+		} else if u += 0.6180339887498948482; u >= 1 {
+			u--
+		}
+		phi := 2 * math.Pi * u
+		s, c := math.Sincos(phi)
+		if math.Float64bits(s) != math.Float64bits(math.Sin(phi)) || math.Float64bits(c) != math.Float64bits(math.Cos(phi)) {
+			t.Fatalf("Sincos(%v) = %v, %v; Sin, Cos = %v, %v", phi, s, c, math.Sin(phi), math.Cos(phi))
+		}
+	}
+}
+
 func TestCosineHemisphereAboveSurface(t *testing.T) {
 	r := NewRNG(4)
 	normals := []Vec3{{0, 0, 1}, {0, 0, -1}, {1, 0, 0}, {0, 1, 0}, V3(1, 1, 1).Normalized()}

@@ -100,8 +100,8 @@ func (r *RNG) UnitSphere() Vec3 {
 	// Marsaglia-free direct sampling: cosθ uniform in [-1,1], φ uniform.
 	cosTheta := 2*r.Float64() - 1
 	sinTheta := math.Sqrt(1 - cosTheta*cosTheta)
-	phi := 2 * math.Pi * r.Float64()
-	return Vec3{sinTheta * math.Cos(phi), sinTheta * math.Sin(phi), cosTheta}
+	sinPhi, cosPhi := math.Sincos(2 * math.Pi * r.Float64())
+	return Vec3{sinTheta * cosPhi, sinTheta * sinPhi, cosTheta}
 }
 
 // CosineHemisphere returns a direction distributed proportional to cosθ
@@ -112,8 +112,8 @@ func (r *RNG) CosineHemisphere(normal Vec3) Vec3 {
 	u1, u2 := r.Float64(), r.Float64()
 	sinTheta := math.Sqrt(u1)
 	cosTheta := math.Sqrt(1 - u1)
-	phi := 2 * math.Pi * u2
-	local := Vec3{sinTheta * math.Cos(phi), sinTheta * math.Sin(phi), cosTheta}
+	sinPhi, cosPhi := math.Sincos(2 * math.Pi * u2)
+	local := Vec3{sinTheta * cosPhi, sinTheta * sinPhi, cosTheta}
 	return rotateZTo(local, normal)
 }
 

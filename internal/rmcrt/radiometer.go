@@ -82,8 +82,8 @@ func (d *Domain) SolveRadiometer(ctx context.Context, r Radiometer, opts *Option
 		// Uniform direction in the cone: cosθ uniform in [cosH, 1].
 		cosT := cosH + (1-cosH)*rng.Float64()
 		sinT := math.Sqrt(1 - cosT*cosT)
-		phi := 2 * math.Pi * rng.Float64()
-		local := mathutil.Vec3{X: sinT * math.Cos(phi), Y: sinT * math.Sin(phi), Z: cosT}
+		sinPhi, cosPhi := math.Sincos(2 * math.Pi * rng.Float64())
+		local := mathutil.Vec3{X: sinT * cosPhi, Y: sinT * sinPhi, Z: cosT}
 		dir := rotateTo(local, r.Dir)
 		I := w.trace(r.Pos, dir, rng)
 		sumI += I

@@ -21,9 +21,10 @@ import (
 // to length 4 (masked indices, no bounds checks), a branch-free min
 // select for the crossed axis, an unsigned ROI gate, and a flat index
 // into the packed tables (packed.go) advanced by one stride add per
-// step. There are two loops: the gray loop carries τ, e^{−τ} and sumI in
-// registers; the K-band loop of spectral solves advances one geometric
-// cursor for all bands. Both treat a scattering event as a slow event
+// step, and e^{−τ} from an inlined, bit-exact copy of math.Exp (exp.go),
+// so the hot path makes no call. There are two loops: the gray loop
+// carries τ, e^{−τ} and sumI in registers; the K-band loop of spectral
+// solves advances one geometric cursor for all bands. Both treat a scattering event as a slow event
 // handled inside the loop (partial segment, redirect, restart); spectral
 // solves with scattering walk one band at a time, so a redirect never
 // spans bands. The other slow events — the enclosure wall, a level drop,
@@ -236,8 +237,8 @@ func (w *walker) genRay(c grid.IntVector, r int, rng *mathutil.RNG, sh1, sh2 flo
 		u2 := frac(mathutil.Halton(r, 3) + sh2)
 		cosTheta := 2*u1 - 1
 		sinTheta := math.Sqrt(1 - cosTheta*cosTheta)
-		phi := 2 * math.Pi * u2
-		dir = mathutil.Vec3{X: sinTheta * math.Cos(phi), Y: sinTheta * math.Sin(phi), Z: cosTheta}
+		sinPhi, cosPhi := math.Sincos(2 * math.Pi * u2)
+		dir = mathutil.Vec3{X: sinTheta * cosPhi, Y: sinTheta * sinPhi, Z: cosTheta}
 	} else {
 		dir = rng.UnitSphere()
 	}
@@ -331,7 +332,13 @@ func (w *walker) marchGray(r *ray, rng *mathutil.RNG, scatterT float64) {
 				break
 			}
 			tauNew := tau + rec.Abskg*ds
-			transNew := math.Exp(-tauNew)
+			var transNew float64
+			if x := -tauNew; expInline && x >= expMin && x <= 0 {
+				xr, k := expReduce(x) // math.Exp(x), inlined: exp.go
+				transNew = expScale(expPoly(xr), k)
+			} else {
+				transNew = math.Exp(x)
+			}
 			sumI += rec.SigmaT4OverPi * (trans - transNew)
 			tau, trans = tauNew, transNew
 			if trans < threshold {
@@ -425,7 +432,13 @@ func (w *walker) marchBands(r *ray, rng *mathutil.RNG, scatterT float64) {
 					continue
 				}
 				tauNew := b.tau + kap[i][idx]*ds
-				transNew := math.Exp(-tauNew)
+				var transNew float64
+				if x := -tauNew; expInline && x >= expMin && x <= 0 {
+					xr, k := expReduce(x) // math.Exp(x), inlined: exp.go
+					transNew = expScale(expPoly(xr), k)
+				} else {
+					transNew = math.Exp(x)
+				}
 				b.sum += (b.w * rec.SigmaT4OverPi) * (b.trans - transNew)
 				b.tau, b.trans = tauNew, transNew
 				if transNew < threshold {

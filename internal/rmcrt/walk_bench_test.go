@@ -1,6 +1,7 @@
 package rmcrt
 
 import (
+	"context"
 	"testing"
 
 	"github.com/uintah-repro/rmcrt/internal/field"
@@ -73,5 +74,44 @@ func BenchmarkAdaptiveSolve(b *testing.B) {
 	potential := float64(flow * opts.AdaptiveMaxRays)
 	if potential > 0 {
 		b.ReportMetric(100*(1-traced/potential), "rays_saved_pct")
+	}
+}
+
+// BenchmarkMarchExp times the K-band step loop — four e^{−τ} per step —
+// on a 32³ 4-band spectral solve, with the step loops' inlined copy of
+// math.Exp (path=inline, exp.go) and with the call it replaces
+// (path=call). perfgate's exp_inline_cpu1 guard holds call/inline above
+// a floor set under every ratio measured so far, so it fails only when
+// the inlined path turns grossly slower than the call, whatever the
+// host's speed.
+func BenchmarkMarchExp(b *testing.B) {
+	d, _, err := NewBenchmarkDomain(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sd := fourBand(d)
+	region := d.finest().ROI
+	opts := benchSolveOpts()
+	for _, path := range []struct {
+		name   string
+		inline bool
+	}{{"inline", true}, {"call", false}} {
+		b.Run("path="+path.name, func(b *testing.B) {
+			if path.inline && !expInline {
+				b.Skip("the inlined exp is off on this host (see exp.go)")
+			}
+			defer setExpInline(path.inline)()
+			b.ReportAllocs()
+			start := d.Steps.Load()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sd.SolveRegionSpectral(context.Background(), region, &opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if steps := d.Steps.Load() - start; steps > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+			}
+		})
 	}
 }
