@@ -9,7 +9,7 @@
 //	loadgen -list
 //	loadgen -scenario smoke -seed 7 -inproc 1 -trace run.trace -report -
 //	loadgen -replay run.trace -target http://localhost:8080
-//	loadgen -scenario overload -inproc 3 -sched priority -normalize -report -
+//	loadgen -scenario overload -inproc 3 -normalize -report -
 package main
 
 import (
@@ -36,8 +36,6 @@ type options struct {
 	seed      uint64
 	target    string
 	inproc    int
-	sched     string
-	policy    string
 	workers   int
 	queue     int
 	asap      bool
@@ -65,8 +63,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.Uint64Var(&o.seed, "seed", 1, "workload generator seed")
 	fs.StringVar(&o.target, "target", "", "server base URL (rmcrtd or rmcrtrouter)")
 	fs.IntVar(&o.inproc, "inproc", 0, "spin up an in-process target: 1 = daemon, N>1 = N-shard cluster")
-	fs.StringVar(&o.sched, "sched", "priority", "in-process cluster scheduling policy (fcfs/priority/sjf)")
-	fs.StringVar(&o.policy, "policy", "affinity", "in-process cluster routing policy")
 	fs.IntVar(&o.workers, "workers", 2, "in-process worker pool size per daemon/shard")
 	fs.IntVar(&o.queue, "queue", 64, "in-process submission queue depth per daemon/shard")
 	fs.BoolVar(&o.asap, "asap", false, "ignore planned timing, issue as fast as possible")
@@ -193,8 +189,6 @@ func resolveTarget(o options) (url string, shutdown func(), err error) {
 	}
 	cl, err := cluster.New(cluster.Config{
 		Shards: shardCfgs,
-		Policy: o.policy,
-		Sched:  o.sched,
 		Client: &http.Client{Timeout: 10 * time.Second},
 		// Fast polling: in-process shards answer in microseconds.
 		PollInterval:   2 * time.Millisecond,

@@ -52,7 +52,7 @@ func run(args []string, notify func(addr string)) error {
 	fs := flag.NewFlagSet("rmcrtd", flag.ContinueOnError)
 	edge := service.RegisterEdgeFlags(fs, ":8372")
 	workers := fs.Int("workers", 0, "solve worker pool size (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 16, "bounded submission queue depth")
+	queue := fs.Int("queue", 16, "submission queue depth per class: a solve is refused when this many of its class or a more urgent one are queued")
 	cacheN := fs.Int("cache", 64, "delivered results kept for cache hits and repeat reads; bounds result memory beyond undelivered ones (negative keeps none)")
 	maxCells := fs.Int64("max-cells", 1<<21, "per-job fine-level cell budget")
 	journal := fs.String("journal", "", "write-ahead job journal path (empty = jobs do not survive restarts)")

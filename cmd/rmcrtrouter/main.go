@@ -1,25 +1,25 @@
 // Command rmcrtrouter is the cluster front-end for a fleet of rmcrtd
 // shards: it accepts the same job API as a single daemon and fans the
-// work out across backends with pluggable routing, SLO-aware
-// scheduling, and retry-with-reroute when a shard dies mid-job.
+// work out across backends with affinity routing, SLO-class
+// admission and dispatch, and retry-with-reroute when a shard dies
+// mid-job.
 //
 // Usage:
 //
 //	rmcrtrouter -shard http://node0:8372 -shard http://node1:8372
 //	rmcrtrouter -shard gpu0=http://node0:8372 -shard gpu1=http://node1:8372 \
-//	            -policy affinity -sched priority -max-inflight 4
+//	            -queue 256 -max-inflight 4
 //
-// Routing policies (-policy):
+// Routing: the spec's property-shaping fields are rendezvous-hashed so
+// jobs that share a packed-table build land on the same shard; a job
+// whose home shard is at -max-inflight, unhealthy, draining or tripped
+// spills to the least-loaded eligible shard.
 //
-//	affinity     rendezvous-hash the spec's property-shaping fields so
-//	             jobs that share a packed-table build land on the same
-//	             shard, spilling to the least-loaded shard when the
-//	             home shard is hot (default)
-//	roundrobin   cycle placements across healthy shards
-//	leastloaded  place on the shard with the fewest inflight jobs
-//
-// Scheduling policies (-sched): priority (SLO class order, default),
-// fcfs, sjf (perfmodel-estimated cheapest solve first).
+// Admission and dispatch: the dispatch queue pops by SLO class
+// (interactive, batch, best-effort), then in submission order. A
+// submission is refused with 429 only when -queue jobs of its class or
+// a more urgent one are already queued, so each class waits only
+// behind the work ahead of it and at most 3 × -queue jobs wait.
 //
 // Overload protection: -client-rate/-client-burst shed over-rate
 // clients (keyed on X-Client-ID) with 429 at the router edge;
@@ -102,9 +102,7 @@ func run(args []string, notify func(addr string)) error {
 	fs := flag.NewFlagSet("rmcrtrouter", flag.ContinueOnError)
 	fs.Var(&shards, "shard", "rmcrtd backend as url or name=url (repeatable, required)")
 	edge := service.RegisterEdgeFlags(fs, ":8371")
-	policy := fs.String("policy", cluster.PolicyAffinity, "routing policy: affinity, roundrobin, leastloaded")
-	sched := fs.String("sched", cluster.SchedPriority, "dispatch scheduling: priority, fcfs, sjf")
-	queue := fs.Int("queue", 256, "router dispatch queue depth")
+	queue := fs.Int("queue", 256, "router dispatch queue depth per class: a submission is refused when this many jobs of its class or a more urgent one are queued")
 	maxInflight := fs.Int("max-inflight", 4, "max jobs dispatched per shard at a time (0 = unbounded)")
 	attempts := fs.Int("max-attempts", 3, "max placements per job across shard losses")
 	poll := fs.Duration("poll", 250*time.Millisecond, "longest a shard status call blocks (GET /v1/jobs/{id}?wait=) and the shortest gap between one job's status calls")
@@ -116,7 +114,7 @@ func run(args []string, notify func(addr string)) error {
 	retryRefill := fs.Float64("retry-refill", 0, "reroute tokens refunded per successful job (0 = default 0.1)")
 	backoffBase := fs.Duration("backoff-base", 0, "reroute backoff floor (0 = default 25ms)")
 	backoffCap := fs.Duration("backoff-cap", 0, "reroute backoff ceiling (0 = default 1s)")
-	calPath := fs.String("calibration", "", "calibration JSON from perfgate -calibrate; prices SJF ordering in wall-seconds and rejects deadline-infeasible jobs with 422")
+	calPath := fs.String("calibration", "", "calibration JSON from perfgate -calibrate; prices each job's est_seconds in wall-seconds and rejects deadline-infeasible jobs with 422")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -136,8 +134,6 @@ func run(args []string, notify func(addr string)) error {
 	}
 	c, err := cluster.New(cluster.Config{
 		Shards:              shards.cfgs,
-		Policy:              *policy,
-		Sched:               *sched,
 		QueueDepth:          *queue,
 		MaxInflightPerShard: *maxInflight,
 		MaxAttempts:         *attempts,
@@ -155,6 +151,6 @@ func run(args []string, notify func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("rmcrtrouter: %d shards, policy=%s sched=%s", len(shards.cfgs), *policy, *sched)
+	log.Printf("rmcrtrouter: %d shards, queue depth %d per class", len(shards.cfgs), *queue)
 	return edge.Serve("rmcrtrouter", cluster.NewHandlerConfig(c, edge.HandlerConfig()), notify, c.Close)
 }

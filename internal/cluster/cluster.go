@@ -1,7 +1,7 @@
 // Package cluster is the sharded serving plane over N rmcrtd backends:
-// a shard registry with health checking and draining, pluggable routing
-// (round-robin, least-loaded, packed-table affinity), an SLO-aware
-// priority dispatch queue, and retry-with-reroute on shard loss.
+// a shard registry with health checking and draining, packed-table
+// affinity routing, the class-ordered service.Queue as its dispatch
+// queue, and retry-with-reroute on shard loss.
 //
 // The paper scales RMCRT by distributing patches over 16384 GPUs while
 // every node shares one read-only level database; here the same idea is
@@ -49,23 +49,25 @@ var (
 type Config struct {
 	// Shards are the rmcrtd backends (required, at least one).
 	Shards []ShardConfig
-	// Policy is the routing policy: "affinity" (default),
-	// "roundrobin" or "leastloaded".
+	// Policy names the routing policy; only PolicyAffinity (or "") is
+	// accepted.
 	Policy string
-	// Sched is the dispatch-queue scheduling policy: "priority"
-	// (default), "fcfs" or "sjf".
+	// Sched names the dispatch order; only SchedPriority (or "") is
+	// accepted.
 	Sched string
-	// QueueDepth bounds the router-side dispatch queue (default 256).
+	// QueueDepth bounds the router-side dispatch queue per class
+	// (default 256): a class-c submission fails with ErrQueueFull when
+	// QueueDepth jobs of class c or a more urgent one are already
+	// queued. With the three classes Spec.Validate admits, at most
+	// 3 × QueueDepth jobs wait; reroutes and backpressure requeues
+	// re-enter past the bound.
 	QueueDepth int
 	// MaxInflightPerShard caps jobs dispatched to one shard at a time
 	// (default 4; <=0 = unbounded). Shards also run their own
-	// admission control; this cap keeps the router's view of load
-	// meaningful for least-loaded and spill decisions.
+	// admission control; this cap is also the affinity spill point: a
+	// job whose home shard is at the cap goes to the least-loaded
+	// eligible shard.
 	MaxInflightPerShard int
-	// HotThreshold is the affinity policy's spill point: when the home
-	// shard's inflight count reaches it, the job spills to the
-	// least-loaded eligible shard (default = MaxInflightPerShard).
-	HotThreshold int
 	// MaxAttempts bounds placements per job across shard losses
 	// (default 3); beyond it the job fails with ErrShardLost.
 	MaxAttempts int
@@ -113,29 +115,39 @@ type Config struct {
 	// fault schedule see a reproducible retry timeline.
 	Seed uint64
 
-	// Calibration prices jobs in predicted wall-seconds for SJF
-	// ordering, the est_seconds status field and the predicted-cost
-	// metrics. nil uses calib.Default() — the uncalibrated
-	// steps-proportional model — and, because default pricing is not
-	// host-accurate, disables the admission-time deadline feasibility
-	// check; set a measured calibration (perfgate -calibrate) to also
-	// reject jobs whose predicted solve time already exceeds their
-	// deadline budget on an idle shard.
+	// Calibration prices jobs in predicted wall-seconds for the
+	// est_seconds status field and the predicted-cost metrics. nil uses
+	// calib.Default() — the uncalibrated steps-proportional model — and,
+	// because default pricing is not host-accurate, disables the
+	// admission-time deadline feasibility check; set a measured
+	// calibration (perfgate -calibrate) to also reject jobs whose
+	// predicted solve time already exceeds their deadline budget on an
+	// idle shard.
 	Calibration *calib.Calibration
 }
 
-func (c Config) withDefaults() Config {
-	if c.Policy == "" {
-		c.Policy = PolicyAffinity
+// SchedPriority is the dispatch order: SLO class (interactive before
+// batch before best-effort), then submission order within a class.
+const SchedPriority = "priority"
+
+// checkPolicies rejects any routing or scheduling policy name but the
+// one each has.
+func (c Config) checkPolicies() error {
+	if c.Policy != "" && c.Policy != PolicyAffinity {
+		return fmt.Errorf("cluster: unknown routing policy %q (want %s)", c.Policy, PolicyAffinity)
 	}
+	if c.Sched != "" && c.Sched != SchedPriority {
+		return fmt.Errorf("cluster: unknown scheduling policy %q (want %s)", c.Sched, SchedPriority)
+	}
+	return nil
+}
+
+func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
 	if c.MaxInflightPerShard == 0 {
 		c.MaxInflightPerShard = 4
-	}
-	if c.HotThreshold == 0 {
-		c.HotThreshold = c.MaxInflightPerShard
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -183,11 +195,11 @@ func (c Config) withDefaults() Config {
 // the router's placement state. Its Deadline is checked at submit, at
 // dispatch pop and before placement, and forwarded to the shard as
 // remaining milliseconds. Mutable fields are guarded by the cluster
-// mutex, except heapPos, which the dispatch queue guards.
+// mutex.
 type Job struct {
 	service.JobRecord
 	affinityKey string
-	// cost is the predicted wall-seconds (the SJF ordering key);
+	// cost is the predicted wall-seconds (the est_seconds status field);
 	// costSteps the predicted DDA cell-step count behind it.
 	cost      float64
 	costSteps float64
@@ -203,8 +215,6 @@ type Job struct {
 	// delivers it; a repeat read re-fetches it from the shard.
 	result    *service.ResultPayload
 	cancelled bool
-
-	heapPos int // 1 + index in the dispatch queue's heap; 0 when not queued
 }
 
 // JobStatus is the externally visible snapshot of a cluster job.
@@ -220,8 +230,8 @@ type JobStatus struct {
 	// Attempts counts placements; >1 means the job was rerouted.
 	Attempts int `json:"attempts,omitempty"`
 	// EstCostSteps is the cost model's predicted DDA cell-step count;
-	// EstSeconds the predicted wall-seconds derived from it — the SJF
-	// ordering key and the deadline feasibility check's budget.
+	// EstSeconds the predicted wall-seconds derived from it, which the
+	// deadline feasibility check holds against the budget.
 	EstCostSteps float64   `json:"est_cost_steps,omitempty"`
 	EstSeconds   float64   `json:"est_seconds,omitempty"`
 	Submitted    time.Time `json:"submitted"`
@@ -240,8 +250,7 @@ type Cluster struct {
 	cfg    Config
 	reg    *metrics.Registry
 	shards *ShardRegistry
-	router Router
-	queue  *dispatchQueue
+	router *affinityRouter
 	// cal is the resolved cost model (Config.Calibration or the
 	// uncalibrated default); calibrated reports whether an explicit
 	// measured calibration was supplied, which arms the deadline
@@ -254,8 +263,9 @@ type Cluster struct {
 	wg      sync.WaitGroup
 	kick    chan struct{}
 
-	mu   sync.Mutex
-	jobs *service.JobTable[JobStatus, *Job]
+	mu    sync.Mutex
+	jobs  *service.JobTable[JobStatus, *Job]
+	queue *service.Queue[*Job] // jobs awaiting placement
 
 	classStats map[string]*classStat
 
@@ -281,18 +291,12 @@ type classStat struct{ submitted, completed int64 }
 // New builds and starts a Cluster: the dispatch loop and health
 // checker run immediately.
 func New(cfg Config) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	sched, err := validSched(cfg.Sched)
-	if err != nil {
+	if err := cfg.checkPolicies(); err != nil {
 		return nil, err
 	}
-	cfg.Sched = sched
+	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
 	shards, err := NewShardRegistry(cfg.Shards, reg)
-	if err != nil {
-		return nil, err
-	}
-	router, err := NewRouter(cfg.Policy, shards, cfg.HotThreshold, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -302,8 +306,8 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:        cfg,
 		reg:        reg,
 		shards:     shards,
-		router:     router,
-		queue:      newDispatchQueue(cfg.Sched),
+		router:     newAffinityRouter(shards, reg),
+		queue:      service.NewQueue[*Job](cfg.QueueDepth),
 		baseCtx:    ctx,
 		cancel:     cancel,
 		kick:       make(chan struct{}, 1),
@@ -384,9 +388,6 @@ func (c *Cluster) Registry() *metrics.Registry { return c.reg }
 // Shards returns the shard registry (for admin surfaces and tests).
 func (c *Cluster) Shards() *ShardRegistry { return c.shards }
 
-// Policy returns the active routing policy name.
-func (c *Cluster) Policy() string { return c.router.Name() }
-
 // Submit validates spec, applies router admission control and enqueues
 // the job for placement.
 func (c *Cluster) Submit(spec service.Spec) (JobStatus, error) {
@@ -422,10 +423,12 @@ func (c *Cluster) SubmitDeadline(spec service.Spec, deadline time.Time) (JobStat
 			return JobStatus{}, err
 		}
 	}
-	if !expired && c.queue.len() >= c.cfg.QueueDepth {
-		c.mRejected.Inc()
-		c.jobs.Rejected(spec.Class)
-		return JobStatus{}, fmt.Errorf("%w (depth %d)", service.ErrQueueFull, c.cfg.QueueDepth)
+	if !expired {
+		if err := c.queue.Admit(spec.Class); err != nil {
+			c.mRejected.Inc()
+			c.jobs.Rejected(spec.Class)
+			return JobStatus{}, err
+		}
 	}
 	job := &Job{
 		JobRecord:   c.jobs.NextLocked(spec, deadline),
@@ -446,8 +449,8 @@ func (c *Cluster) SubmitDeadline(spec service.Spec, deadline time.Time) (JobStat
 		c.finishLocked(job, service.StateFailed, c.jobs.Expire("before placement"))
 		return job.Snapshot(), nil
 	}
-	c.queue.push(job)
-	c.syncQueueGauge()
+	c.queue.Push(job.Class, job.Seq, job)
+	c.syncQueueGaugeLocked()
 	c.kickDispatch()
 	return job.Snapshot(), nil
 }
@@ -459,39 +462,33 @@ func (c *Cluster) kickDispatch() {
 	}
 }
 
-func (c *Cluster) syncQueueGauge() { c.gQueued.Set(int64(c.queue.len())) }
+// syncQueueGaugeLocked publishes the queue depth. Callers hold c.mu.
+func (c *Cluster) syncQueueGaugeLocked() { c.gQueued.Set(int64(c.queue.Len())) }
 
-// failStranded fails every queued job that already lost a placement
-// when no shard accepts placements: the fleet is down, and the reroute
-// would otherwise wait (paced by its backoff) in a queue nothing will
-// ever drain. Never-placed jobs keep their slots and wait for
-// recovery, matching requeue's fleet-down rule.
-func (c *Cluster) failStranded() {
+// failStrandedLocked fails every queued job that already lost a
+// placement when no shard accepts placements: the fleet is down, and
+// the reroute would otherwise wait (paced by its backoff) in a queue
+// nothing will ever drain. Never-placed jobs keep their places and
+// wait for recovery, matching requeue's fleet-down rule. Callers hold
+// c.mu.
+func (c *Cluster) failStrandedLocked() {
 	var keep []*Job
-	for {
-		job := c.queue.pop()
-		if job == nil {
-			break
-		}
-		c.mu.Lock()
-		switch {
-		case job.State.Terminal():
-		case job.attempts > 0:
+	for job, ok := c.queue.Pop(); ok; job, ok = c.queue.Pop() {
+		if job.attempts > 0 {
 			c.finishLocked(job, service.StateFailed,
 				fmt.Errorf("%w: no healthy shards after %d placements", ErrShardLost, job.attempts))
-		default:
+		} else {
 			keep = append(keep, job)
 		}
-		c.mu.Unlock()
 	}
 	for _, job := range keep {
-		c.queue.push(job)
+		c.queue.Push(job.Class, job.Seq, job)
 	}
-	c.syncQueueGauge()
+	c.syncQueueGaugeLocked()
 }
 
 // dispatchLoop drains the queue whenever capacity or work appears: pop
-// per scheduling policy, place per routing policy.
+// in class order, place by affinity.
 func (c *Cluster) dispatchLoop() {
 	for {
 		select {
@@ -501,23 +498,16 @@ func (c *Cluster) dispatchLoop() {
 		}
 		for {
 			candidates := c.shards.Placeable(c.cfg.MaxInflightPerShard)
-			if len(candidates) == 0 || c.queue.len() == 0 {
-				if c.queue.len() > 0 && c.shards.Healthy() == 0 {
-					c.failStranded()
-				}
-				break
-			}
-			job := c.queue.pop()
-			c.syncQueueGauge()
-			if job == nil {
-				break
-			}
-			shard := c.router.Pick(job, candidates)
 			c.mu.Lock()
-			if job.State.Terminal() {
+			if len(candidates) == 0 || c.queue.Len() == 0 {
+				if c.queue.Len() > 0 && c.shards.Healthy() == 0 {
+					c.failStrandedLocked()
+				}
 				c.mu.Unlock()
-				continue
+				break
 			}
+			job, _ := c.queue.Pop()
+			c.syncQueueGaugeLocked()
 			if service.Expired(job.Deadline, time.Now()) {
 				// Expired while waiting in the dispatch queue: fail it here
 				// instead of spending a shard slot on a doomed placement.
@@ -525,6 +515,7 @@ func (c *Cluster) dispatchLoop() {
 				c.mu.Unlock()
 				continue
 			}
+			shard := c.router.Pick(job, candidates)
 			job.shard = shard
 			job.attempts++
 			c.mu.Unlock()
@@ -829,8 +820,8 @@ func (c *Cluster) requeue(job *Job, shard *Shard, countAttempt bool) {
 	}
 	c.mu.Lock()
 	if !job.State.Terminal() {
-		c.queue.push(job)
-		c.syncQueueGauge()
+		c.queue.Push(job.Class, job.Seq, job)
+		c.syncQueueGaugeLocked()
 	}
 	c.mu.Unlock()
 }
@@ -880,6 +871,26 @@ func (c *Cluster) updateJainLocked() {
 		xs = append(xs, float64(cs.completed)/float64(cs.submitted))
 	}
 	c.gJain.Set(JainIndex(xs))
+}
+
+// JainIndex is Jain's fairness index over per-class goodput fractions
+// x_i = done_i / submitted_i: (Σx)² / (n·Σx²). It is 1 when every class
+// completes the same fraction of what it asked for and approaches 1/n
+// as one class monopolizes the cluster. Classes with no submissions are
+// excluded; an empty sample reads as 1 (nothing is unfair yet).
+func JainIndex(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 1
+	}
+	var sum, sumSq float64
+	for _, x := range xs {
+		sum += x
+		sumSq += x * x
+	}
+	if sumSq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
 // closing reports whether Close has begun, releasing the job's shard
@@ -1052,8 +1063,8 @@ func (c *Cluster) Cancel(id string) (JobStatus, error) {
 	job.cancelled = true
 	if job.shard == nil {
 		// Still queued router-side: out of the queue and terminal now.
-		c.queue.remove(job)
-		c.syncQueueGauge()
+		c.queue.Remove(job.Seq)
+		c.syncQueueGaugeLocked()
 		c.finishLocked(job, service.StateCancelled, context.Canceled)
 	}
 	return job.Snapshot(), nil
@@ -1078,7 +1089,7 @@ func (job *Job) Snapshot() JobStatus {
 // HealthFields adds the routing policy and the healthy-shard count to
 // /healthz.
 func (c *Cluster) HealthFields() map[string]any {
-	return map[string]any{"policy": c.Policy(), "shards_up": c.shards.Healthy()}
+	return map[string]any{"policy": PolicyAffinity, "shards_up": c.shards.Healthy()}
 }
 
 // Close stops dispatching and waits for the loops and watchers to

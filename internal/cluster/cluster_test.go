@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/uintah-repro/rmcrt/internal/calib"
 	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
@@ -132,39 +134,27 @@ func TestClusterEndToEndBitwise(t *testing.T) {
 
 // The affinity acceptance criterion: with two distinct property shapes
 // and many jobs, affinity routing keeps total packed-table builds at
-// the number of shapes, while round-robin scatters the same workload
-// across shards and rebuilds the same tables on each.
+// the number of shapes instead of rebuilding the same tables on every
+// shard.
 func TestClusterAffinityPackedBuilds(t *testing.T) {
-	run := func(t *testing.T, policy string) int64 {
-		h := newTestHarness(t, 3, func(c *Config) { c.Policy = policy })
-		seed := uint64(1)
-		for round := 0; round < 4; round++ {
-			for _, n := range []int{8, 10} { // two property shapes
-				seed++ // distinct seeds defeat the shard result caches
-				st, err := h.cluster.Submit(service.Spec{
-					Kind: service.KindBenchmark, N: n, Rays: 10, Seed: seed,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Serial submission: placement order is deterministic and
-				// the affinity home is never hot.
-				waitDone(t, h.cluster, st.ID)
+	h := newTestHarness(t, 3, nil)
+	seed := uint64(1)
+	for round := 0; round < 4; round++ {
+		for _, n := range []int{8, 10} { // two property shapes
+			seed++ // distinct seeds defeat the shard result caches
+			st, err := h.cluster.Submit(service.Spec{
+				Kind: service.KindBenchmark, N: n, Rays: 10, Seed: seed,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
+			// Serial submission: placement order is deterministic and
+			// the affinity home is never at its cap.
+			waitDone(t, h.cluster, st.ID)
 		}
-		return h.totalBuilds()
 	}
-
-	affinity := run(t, PolicyAffinity)
-	if affinity > 2 {
-		t.Errorf("affinity: %d packed builds across shards, want <= 2 (one per property shape)", affinity)
-	}
-	rr := run(t, PolicyRoundRobin)
-	if rr < 4 {
-		t.Errorf("roundrobin: %d packed builds, want >= 4 (tables rebuilt per shard)", rr)
-	}
-	if affinity >= rr {
-		t.Errorf("affinity builds (%d) not below roundrobin builds (%d)", affinity, rr)
+	if builds := h.totalBuilds(); builds > 2 {
+		t.Errorf("affinity: %d packed builds across shards, want <= 2 (one per property shape)", builds)
 	}
 }
 
@@ -262,11 +252,7 @@ func TestClusterAllShardsLost(t *testing.T) {
 // Draining a shard stops new placements while its inflight job runs to
 // completion where it is.
 func TestClusterDrain(t *testing.T) {
-	h := newTestHarness(t, 3, func(c *Config) { c.Policy = PolicyRoundRobin })
-	names := make([]string, 3)
-	for i, s := range h.cluster.Shards().Shards() {
-		names[i] = s.Name()
-	}
+	h := newTestHarness(t, 3, nil)
 
 	// Park a slow job, find its shard, drain that shard.
 	slow, err := h.cluster.Submit(service.Spec{Kind: service.KindBenchmark, N: 16, Rays: 1500, Seed: 8})
@@ -427,5 +413,54 @@ func TestClusterQueueFull(t *testing.T) {
 	}
 	if !sawFull {
 		t.Fatal("queue never reported full")
+	}
+}
+
+// The default cost model, which prices every uncalibrated router's
+// est_seconds, must order specs by size: more cells or more rays means more
+// predicted work, and the 2-level path stays positive.
+func TestEstimateCostMonotonic(t *testing.T) {
+	base := service.Spec{Kind: service.KindBenchmark, N: 8, Rays: 10}
+	bigger := service.Spec{Kind: service.KindBenchmark, N: 16, Rays: 10}
+	rayier := service.Spec{Kind: service.KindBenchmark, N: 8, Rays: 100}
+	c0 := calib.Default().Seconds(base.Work())
+	if c0 <= 0 {
+		t.Fatalf("cost(base) = %g, want > 0", c0)
+	}
+	if calib.Default().Seconds(bigger.Work()) <= c0 {
+		t.Fatalf("cost not monotonic in N: %g vs %g", calib.Default().Seconds(bigger.Work()), c0)
+	}
+	if calib.Default().Seconds(rayier.Work()) <= c0 {
+		t.Fatalf("cost not monotonic in rays: %g vs %g", calib.Default().Seconds(rayier.Work()), c0)
+	}
+	ml := service.Spec{Kind: service.KindUniform, N: 16, Levels: 2, PatchN: 8, RR: 2, Rays: 5}
+	if c := calib.Default().Seconds(ml.Work()); c <= 0 || math.IsInf(c, 0) || math.IsNaN(c) {
+		t.Fatalf("2-level cost = %g, want finite positive", c)
+	}
+}
+
+func TestJainIndex(t *testing.T) {
+	cases := []struct {
+		xs   []float64
+		want float64
+	}{
+		{nil, 1},
+		{[]float64{0, 0, 0}, 1},
+		{[]float64{1, 1, 1}, 1},
+		{[]float64{0.5, 0.5}, 1},
+		{[]float64{1, 0}, 0.5},          // one class monopolizes: 1/n
+		{[]float64{1, 0, 0}, 1.0 / 3.0}, // worst case for 3 classes
+		{[]float64{1, 1, 0}, 2.0 / 3.0}, // two of three served
+	}
+	for _, c := range cases {
+		if got := JainIndex(c.xs); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("JainIndex(%v) = %g, want %g", c.xs, got, c.want)
+		}
+	}
+	for _, xs := range [][]float64{{0.2}, {1, 0.5, 0.25}, {0.9, 0.1, 0.3}} {
+		j := JainIndex(xs)
+		if j < 1.0/float64(len(xs))-1e-12 || j > 1+1e-12 {
+			t.Errorf("JainIndex(%v) = %g outside [1/n, 1]", xs, j)
+		}
 	}
 }

@@ -292,6 +292,25 @@ func TestLifecycleAccounting(t *testing.T) {
 			e.release(t)
 			e.waitState(t, e.running, service.StateDone)
 		}},
+		{"more urgent arrival past a full queue", "", func(t *testing.T, e *lifecycleEnv) {
+			running, _ := e.accept(t, lcSpec(20, ba), none)
+			e.waitState(t, running, service.StateRunning)
+			behind, _ := e.accept(t, lcSpec(21, be), none)
+			urgent, st := e.accept(t, lcSpec(22, ia), none)
+			if st != service.StateQueued {
+				t.Fatalf("interactive past a full queue answered %s, want queued", st)
+			}
+			e.reject(t, lcSpec(23, be), none, service.ErrQueueFull)
+			e.check(t)
+			// The interactive job overtakes the best-effort one queued
+			// before it.
+			e.release(t)
+			e.waitState(t, running, service.StateDone)
+			e.release(t)
+			e.waitState(t, urgent, service.StateDone)
+			e.release(t)
+			e.waitState(t, behind, service.StateDone)
+		}},
 		{"coalesced", "daemon", func(t *testing.T, e *lifecycleEnv) {
 			lead, _ := e.accept(t, lcSpec(6, ia), none)
 			e.waitState(t, lead, service.StateRunning)
@@ -347,30 +366,34 @@ func TestLifecycleAccounting(t *testing.T) {
 	}
 }
 
-// TestRouterCancelFreesQueueSlot: a job cancelled while it waits in the
-// router's one-deep dispatch queue gives its slot back at once, so the
-// next submit is admitted, not refused as queue-full. The only shard
-// slot is held by a parked solve, so the dispatcher cannot drain the
-// queue in between.
-func TestRouterCancelFreesQueueSlot(t *testing.T) {
+// TestCancelFreesQueueSlot: on both planes, a job cancelled while it
+// waits in the one-deep queue gives its slot back at once, so the next
+// submit is admitted, not refused as queue-full. The only worker (or
+// shard slot) is held by a parked solve, so nothing drains the queue in
+// between.
+func TestCancelFreesQueueSlot(t *testing.T) {
 	var none time.Time
-	e := lifecycleRouter(t)
-	running, _ := e.accept(t, lcSpec(1, service.ClassInteractive), none)
-	e.waitState(t, running, service.StateRunning)
-	queued, _ := e.accept(t, lcSpec(2, service.ClassBatch), none)
-	if err := e.cancel(queued); err != nil {
-		t.Fatal(err)
+	for _, start := range []func(*testing.T) *lifecycleEnv{lifecycleDaemon, lifecycleRouter} {
+		e := start(t)
+		t.Run(e.name, func(t *testing.T) {
+			running, _ := e.accept(t, lcSpec(1, service.ClassInteractive), none)
+			e.waitState(t, running, service.StateRunning)
+			queued, _ := e.accept(t, lcSpec(2, service.ClassBatch), none)
+			if err := e.cancel(queued); err != nil {
+				t.Fatal(err)
+			}
+			e.waitState(t, queued, service.StateCancelled)
+			next, st := e.accept(t, lcSpec(3, service.ClassBatch), none)
+			if st != service.StateQueued {
+				t.Fatalf("submit after the cancel answered %s, want queued", st)
+			}
+			e.reject(t, lcSpec(4, service.ClassBestEffort), none, service.ErrQueueFull)
+			e.check(t)
+			e.release(t)
+			e.waitState(t, running, service.StateDone)
+			e.release(t)
+			e.waitState(t, next, service.StateDone)
+			e.check(t)
+		})
 	}
-	e.waitState(t, queued, service.StateCancelled)
-	next, st := e.accept(t, lcSpec(3, service.ClassBatch), none)
-	if st != service.StateQueued {
-		t.Fatalf("submit after the cancel answered %s, want queued", st)
-	}
-	e.reject(t, lcSpec(4, service.ClassBestEffort), none, service.ErrQueueFull)
-	e.check(t)
-	e.release(t)
-	e.waitState(t, running, service.StateDone)
-	e.release(t)
-	e.waitState(t, next, service.StateDone)
-	e.check(t)
 }

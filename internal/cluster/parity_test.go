@@ -266,6 +266,18 @@ func fillQueue(t *testing.T, e *parityEnv) string {
 	return ""
 }
 
+// queueBestEffort parks one job on the (single, blocked) worker and
+// queues one best-effort job behind it, filling a one-deep queue for
+// every class but interactive.
+func queueBestEffort(t *testing.T, e *parityEnv) string {
+	first := e.mustSubmit(t, `{"kind":"benchmark","n":8,"rays":10,"seed":100}`)
+	e.waitState(t, first, service.StateRunning)
+	e.mustSubmit(t, `{"kind":"benchmark","n":8,"rays":10,"seed":201,"class":"best-effort"}`)
+	return ""
+}
+
+const urgentSpec = `{"kind":"benchmark","n":8,"rays":10,"seed":202,"class":"interactive"}`
+
 // wantState checks that a status body reports state want.
 func wantState(want service.State) func(t *testing.T, e *parityEnv, body []byte) {
 	return func(t *testing.T, _ *parityEnv, body []byte) {
@@ -328,6 +340,19 @@ func parityRows() []parityRow {
 			hdr: map[string]string{service.DeadlineHeader: "9223372036854775807"}, code: 400, errBody: true},
 		{name: "submit/queue-full", opts: parityOpts{block: true, queue: 1}, setup: fillQueue,
 			method: "POST", path: "/v1/solve", body: `{"kind":"benchmark","n":8,"rays":10,"seed":200}`,
+			code: 429, retryAfter: true, errBody: true},
+		// The queue bounds each class by the work at least as urgent: a
+		// more urgent arrival gets past a queue full for best-effort,
+		// after which best-effort is still refused.
+		{name: "submit/urgent-past-full", opts: parityOpts{block: true, queue: 1}, setup: queueBestEffort,
+			method: "POST", path: "/v1/solve", body: urgentSpec, code: 202},
+		{name: "submit/full-after-urgent", opts: parityOpts{block: true, queue: 1},
+			setup: func(t *testing.T, e *parityEnv) string {
+				queueBestEffort(t, e)
+				e.mustSubmit(t, urgentSpec)
+				return ""
+			},
+			method: "POST", path: "/v1/solve", body: `{"kind":"benchmark","n":8,"rays":10,"seed":203,"class":"best-effort"}`,
 			code: 429, retryAfter: true, errBody: true},
 		{
 			name: "submit/rate-limited", opts: parityOpts{limit: true},

@@ -24,6 +24,20 @@ func counterValue(t *testing.T, c *Cluster, name string) float64 {
 	return v
 }
 
+// homedOn returns spec with the smallest N at or above its own whose
+// affinity home is the named shard.
+func homedOn(t *testing.T, c *Cluster, shard string, spec service.Spec) service.Spec {
+	t.Helper()
+	for n := spec.N; n < spec.N+32; n++ {
+		spec.N = n
+		if c.router.home(spec.AffinityKey()).Name() == shard {
+			return spec
+		}
+	}
+	t.Fatalf("no N up to %d homes on %s", spec.N, shard)
+	return spec
+}
+
 // TestClusterBreakerTripsAndRecovers: a flapping shard — health probes
 // pass, placements fail — trips its circuit open (visible in the
 // transition metrics) while jobs spill to the surviving shard; once
@@ -43,7 +57,6 @@ func TestClusterBreakerTripsAndRecovers(t *testing.T) {
 	ft.ForceFail(-1)
 	h := newTestHarness(t, 2, func(c *Config) {
 		c.Client = &http.Client{Transport: ft, Timeout: 2 * time.Second}
-		c.Policy = PolicyLeastLoaded // ties go to s0, so it keeps taking traffic
 		c.MaxAttempts = 50
 		c.RetryBudget = 1000
 		c.BreakerThreshold = 2
@@ -56,17 +69,20 @@ func TestClusterBreakerTripsAndRecovers(t *testing.T) {
 		c.HealthInterval = 15 * time.Millisecond
 	})
 	s0host.Store(strings.TrimPrefix(h.shards[0].srv.URL, "http://"))
+	// Every job homes on s0, so s0 keeps taking traffic whenever it is
+	// placeable.
+	spec := homedOn(t, h.cluster, "s0", service.Spec{Kind: service.KindBenchmark, N: 12, Rays: 25})
 
 	// Submit jobs until s0 accrues enough consecutive lost placements to
 	// trip; every job still completes by spilling to s1.
 	deadline := time.Now().Add(20 * time.Second)
-	seed := uint64(100)
+	spec.Seed = 100
 	for counterValue(t, h.cluster, "router_shard_s0_breaker_opens_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("breaker never opened under forced placement failures")
 		}
-		seed++
-		st, err := h.cluster.Submit(service.Spec{Kind: service.KindBenchmark, N: 12, Rays: 25, Seed: seed})
+		spec.Seed++
+		st, err := h.cluster.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,8 +106,8 @@ func TestClusterBreakerTripsAndRecovers(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("breaker never closed after faults stopped")
 		}
-		seed++
-		st, err := h.cluster.Submit(service.Spec{Kind: service.KindBenchmark, N: 12, Rays: 25, Seed: seed})
+		spec.Seed++
+		st, err := h.cluster.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

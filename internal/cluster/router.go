@@ -1,84 +1,20 @@
 package cluster
 
 import (
-	"fmt"
 	"hash/fnv"
-	"sync/atomic"
 
 	"github.com/uintah-repro/rmcrt/internal/metrics"
 )
 
-// Routing policy names.
-const (
-	// PolicyRoundRobin cycles placements across eligible shards.
-	PolicyRoundRobin = "roundrobin"
-	// PolicyLeastLoaded places on the eligible shard with the fewest
-	// inflight jobs.
-	PolicyLeastLoaded = "leastloaded"
-	// PolicyAffinity routes by the spec's property-shaping content
-	// (Spec.AffinityKey) via rendezvous hashing, so jobs that can share
-	// a warm packed-table cache entry land on the same shard — the
-	// distributed analog of the paper's shared per-node level database.
-	// When the home shard is hot the job spills to the least-loaded
-	// eligible shard instead of queueing behind its siblings.
-	PolicyAffinity = "affinity"
-)
-
-// Router picks the shard a job is placed on. Pick is called with the
-// currently eligible shards (healthy, not draining, under the dispatch
-// cap); candidates is never empty. Implementations must be safe for
-// concurrent use.
-type Router interface {
-	Name() string
-	Pick(job *Job, candidates []*Shard) *Shard
-}
-
-// NewRouter builds the named policy. The affinity policy needs the
-// full registry (to find a job's home shard even when it is currently
-// ineligible), a hot threshold, and counters; reg may be nil.
-func NewRouter(policy string, shards *ShardRegistry, hot int, reg *metrics.Registry) (Router, error) {
-	switch policy {
-	case "", PolicyAffinity:
-		a := &affinityRouter{shards: shards, hot: hot}
-		if reg != nil {
-			a.mHits = reg.Counter("router_affinity_hits_total", "jobs placed on their affinity home shard")
-			a.mSpills = reg.Counter("router_affinity_spills_total", "jobs spilled off a hot or unavailable home shard")
-			a.gRatio = reg.FloatGauge("router_affinity_hit_ratio", "fraction of placements that landed on the affinity home shard")
-		}
-		return a, nil
-	case PolicyRoundRobin:
-		return &roundRobinRouter{}, nil
-	case PolicyLeastLoaded:
-		return &leastLoadedRouter{}, nil
-	}
-	return nil, fmt.Errorf("cluster: unknown routing policy %q (want %s, %s or %s)",
-		policy, PolicyRoundRobin, PolicyLeastLoaded, PolicyAffinity)
-}
-
-// roundRobinRouter cycles an atomic counter over the candidate list.
-type roundRobinRouter struct{ n atomic.Uint64 }
-
-func (r *roundRobinRouter) Name() string { return PolicyRoundRobin }
-
-func (r *roundRobinRouter) Pick(_ *Job, candidates []*Shard) *Shard {
-	return candidates[int((r.n.Add(1)-1)%uint64(len(candidates)))]
-}
-
-// leastLoadedRouter picks the candidate with the fewest inflight jobs,
-// breaking ties by configuration order for determinism.
-type leastLoadedRouter struct{}
-
-func (l *leastLoadedRouter) Name() string { return PolicyLeastLoaded }
-
-func (l *leastLoadedRouter) Pick(_ *Job, candidates []*Shard) *Shard {
-	best, bestLoad := candidates[0], candidates[0].Inflight()
-	for _, s := range candidates[1:] {
-		if n := s.Inflight(); n < bestLoad {
-			best, bestLoad = s, n
-		}
-	}
-	return best
-}
+// PolicyAffinity is the router's one routing policy: it routes by the
+// spec's property-shaping content (Spec.AffinityKey) via rendezvous
+// hashing, so jobs that can share a warm packed-table cache entry land
+// on the same shard — the distributed analog of the paper's shared
+// per-node level database. When the home shard cannot take the job
+// (at the MaxInflightPerShard cap, unhealthy, draining or tripped) the
+// job spills to the least-loaded eligible shard instead of queueing
+// behind its siblings.
+const PolicyAffinity = "affinity"
 
 // rendezvousWeight is the highest-random-weight score of key on shard:
 // a 64-bit FNV-1a over key|shard. Rendezvous hashing keeps the
@@ -92,20 +28,25 @@ func rendezvousWeight(key, shard string) uint64 {
 	return h.Sum64()
 }
 
-// affinityRouter sends a job to its rendezvous home shard so jobs with
-// the same property-shaping spec share one warm packed-table build, and
-// spills to the least-loaded candidate when the home shard is hot,
-// ineligible, or gone.
+// affinityRouter picks the shard a job is placed on: its rendezvous
+// home when that is among the candidates, else the least-loaded
+// candidate. It needs the full registry to find a job's home even when
+// the home is currently ineligible.
 type affinityRouter struct {
 	shards *ShardRegistry
-	hot    int // spill when the home shard's inflight reaches this (0 = never)
-	least  leastLoadedRouter
 
 	mHits, mSpills *metrics.Counter
 	gRatio         *metrics.FloatGauge
 }
 
-func (a *affinityRouter) Name() string { return PolicyAffinity }
+func newAffinityRouter(shards *ShardRegistry, reg *metrics.Registry) *affinityRouter {
+	return &affinityRouter{
+		shards:  shards,
+		mHits:   reg.Counter("router_affinity_hits_total", "jobs placed on their affinity home shard"),
+		mSpills: reg.Counter("router_affinity_spills_total", "jobs spilled off a full or unavailable home shard"),
+		gRatio:  reg.FloatGauge("router_affinity_hit_ratio", "fraction of placements that landed on the affinity home shard"),
+	}
+}
 
 // home returns the job's rendezvous winner over every non-draining
 // shard, dead or alive: health flaps must not remap keys, or the warm
@@ -124,29 +65,34 @@ func (a *affinityRouter) home(key string) *Shard {
 	return best
 }
 
+// Pick places job on one of candidates, the shards currently eligible
+// (healthy, not draining, under the dispatch cap); candidates is never
+// empty.
 func (a *affinityRouter) Pick(job *Job, candidates []*Shard) *Shard {
 	home := a.home(job.affinityKey)
-	hit := false
-	var pick *Shard
-	if home != nil && (a.hot <= 0 || home.Inflight() < a.hot) {
-		for _, c := range candidates {
-			if c == home {
-				pick, hit = home, true
-				break
-			}
+	for _, c := range candidates {
+		if c == home {
+			a.record(true)
+			return home
 		}
 	}
-	if pick == nil {
-		pick = a.least.Pick(job, candidates)
+	a.record(false)
+	return leastLoaded(candidates)
+}
+
+// leastLoaded picks the candidate with the fewest inflight jobs,
+// breaking ties by configuration order for determinism.
+func leastLoaded(candidates []*Shard) *Shard {
+	best, bestLoad := candidates[0], candidates[0].Inflight()
+	for _, s := range candidates[1:] {
+		if n := s.Inflight(); n < bestLoad {
+			best, bestLoad = s, n
+		}
 	}
-	a.record(hit)
-	return pick
+	return best
 }
 
 func (a *affinityRouter) record(hit bool) {
-	if a.mHits == nil {
-		return
-	}
 	if hit {
 		a.mHits.Inc()
 	} else {

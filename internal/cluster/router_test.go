@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/uintah-repro/rmcrt/internal/metrics"
 	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
@@ -24,40 +25,27 @@ func testJob(affinityKey string) *Job {
 	return &Job{affinityKey: affinityKey}
 }
 
-// Round-robin distributes placements evenly across a stable candidate
-// set.
-func TestRoundRobinEvenDistribution(t *testing.T) {
-	reg := testRegistry(t, 3)
-	r := &roundRobinRouter{}
-	counts := map[string]int{}
-	for i := 0; i < 300; i++ {
-		counts[r.Pick(testJob("k"), reg.Shards()).Name()]++
-	}
-	for _, s := range reg.Shards() {
-		if counts[s.Name()] != 100 {
-			t.Fatalf("distribution %v, want 100 per shard", counts)
-		}
-	}
+func testRouter(reg *ShardRegistry) *affinityRouter {
+	return newAffinityRouter(reg, metrics.NewRegistry())
 }
 
-// Least-loaded always picks a minimum-inflight shard, breaking ties in
-// configuration order.
+// The spill target, least-loaded, always picks a minimum-inflight
+// shard, breaking ties in configuration order.
 func TestLeastLoadedPicksMin(t *testing.T) {
 	reg := testRegistry(t, 3)
 	shards := reg.Shards()
 	shards[0].addInflight(3)
 	shards[1].addInflight(1)
 	shards[2].addInflight(2)
-	var l leastLoadedRouter
-	if got := l.Pick(testJob("k"), shards); got != shards[1] {
+	if got := leastLoaded(shards); got != shards[1] {
 		t.Fatalf("picked %s, want s1 (load 1)", got.Name())
 	}
 	shards[1].addInflight(2) // now loads are 3,3,2
-	if got := l.Pick(testJob("k"), shards); got != shards[2] {
+	if got := leastLoaded(shards); got != shards[2] {
 		t.Fatalf("picked %s, want s2 (load 2)", got.Name())
 	}
 	shards[2].addInflight(1) // all equal: config order wins
-	if got := l.Pick(testJob("k"), shards); got != shards[0] {
+	if got := leastLoaded(shards); got != shards[0] {
 		t.Fatalf("picked %s, want s0 on tie", got.Name())
 	}
 }
@@ -66,7 +54,7 @@ func TestLeastLoadedPicksMin(t *testing.T) {
 // every time — and distinct keys spread across the fleet.
 func TestAffinityStableAndSpread(t *testing.T) {
 	reg := testRegistry(t, 3)
-	a := &affinityRouter{shards: reg, hot: 0}
+	a := testRouter(reg)
 	homes := map[string]string{}
 	used := map[string]bool{}
 	for i := 0; i < 64; i++ {
@@ -89,12 +77,12 @@ func TestAffinityStableAndSpread(t *testing.T) {
 // only the keys that lived on it.
 func TestAffinityMinimalRemapOnShardLoss(t *testing.T) {
 	full := testRegistry(t, 3)
-	a3 := &affinityRouter{shards: full}
+	a3 := testRouter(full)
 
 	// The 2-shard registry reuses the names s0 and s1, so surviving
 	// rendezvous weights are identical.
 	reduced := testRegistry(t, 2)
-	a2 := &affinityRouter{shards: reduced}
+	a2 := testRouter(reduced)
 
 	moved := 0
 	for i := 0; i < 256; i++ {
@@ -113,24 +101,29 @@ func TestAffinityMinimalRemapOnShardLoss(t *testing.T) {
 	}
 }
 
-// A hot home shard spills to least-loaded; a cool one keeps its jobs.
+// A home shard at the MaxInflightPerShard cap is not placeable, so its
+// job spills to the least-loaded shard; below the cap it keeps its jobs.
 func TestAffinitySpillWhenHot(t *testing.T) {
+	const maxInflight = 2
 	reg := testRegistry(t, 3)
-	a := &affinityRouter{shards: reg, hot: 2}
+	a := testRouter(reg)
 	key := "spill-key"
 	home := a.home(key)
 	if home == nil {
 		t.Fatal("no home shard")
 	}
-	if got := a.Pick(testJob(key), reg.Shards()); got != home {
+	if got := a.Pick(testJob(key), reg.Placeable(maxInflight)); got != home {
 		t.Fatalf("cool home: picked %s, want %s", got.Name(), home.Name())
 	}
-	home.addInflight(2) // at the hot threshold
-	if got := a.Pick(testJob(key), reg.Shards()); got == home {
-		t.Fatal("hot home still took the job; want spill to least-loaded")
+	home.addInflight(maxInflight) // at the cap
+	if got := a.Pick(testJob(key), reg.Placeable(maxInflight)); got == home {
+		t.Fatal("home at the cap still took the job; want spill to least-loaded")
 	}
-	home.addInflight(-2)
-	if got := a.Pick(testJob(key), reg.Shards()); got != home {
+	if hits, spills := a.mHits.Value(), a.mSpills.Value(); hits != 1 || spills != 1 {
+		t.Fatalf("hits %d, spills %d; want 1 and 1", hits, spills)
+	}
+	home.addInflight(-maxInflight)
+	if got := a.Pick(testJob(key), reg.Placeable(maxInflight)); got != home {
 		t.Fatalf("cooled home: picked %s, want %s back", got.Name(), home.Name())
 	}
 }
@@ -138,7 +131,7 @@ func TestAffinitySpillWhenHot(t *testing.T) {
 // A draining home is skipped without disturbing other keys' homes.
 func TestAffinitySkipsDrainingHome(t *testing.T) {
 	reg := testRegistry(t, 3)
-	a := &affinityRouter{shards: reg}
+	a := testRouter(reg)
 	key := "drain-key"
 	home := a.home(key)
 	if err := reg.Drain(home.Name()); err != nil {
@@ -177,15 +170,30 @@ func TestAffinityKeyCoversPropertyShape(t *testing.T) {
 	}
 }
 
-// Unknown policies are rejected with a listing of the valid ones.
+// Affinity is the one routing policy: any other name is rejected.
 func TestNewRouterUnknownPolicy(t *testing.T) {
-	reg := testRegistry(t, 1)
-	if _, err := NewRouter("random", reg, 0, nil); err == nil {
-		t.Fatal("unknown policy accepted")
+	for _, p := range []string{"random", "roundrobin", "leastloaded"} {
+		if err := (Config{Policy: p}).checkPolicies(); err == nil {
+			t.Fatalf("policy %q accepted", p)
+		}
 	}
-	for _, p := range []string{"", PolicyRoundRobin, PolicyLeastLoaded, PolicyAffinity} {
-		if _, err := NewRouter(p, reg, 0, nil); err != nil {
+	for _, p := range []string{"", PolicyAffinity} {
+		if err := (Config{Policy: p}).checkPolicies(); err != nil {
 			t.Fatalf("policy %q rejected: %v", p, err)
+		}
+	}
+}
+
+// Class order is the one dispatch order: any other name is rejected.
+func TestValidSched(t *testing.T) {
+	for _, s := range []string{"lifo", "fcfs", "sjf"} {
+		if err := (Config{Sched: s}).checkPolicies(); err == nil {
+			t.Fatalf("sched %q accepted", s)
+		}
+	}
+	for _, s := range []string{"", SchedPriority} {
+		if err := (Config{Sched: s}).checkPolicies(); err != nil {
+			t.Fatalf("sched %q rejected: %v", s, err)
 		}
 	}
 }

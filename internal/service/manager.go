@@ -17,9 +17,9 @@ import (
 
 // Admission and lifecycle errors.
 var (
-	// ErrQueueFull rejects a submission when the bounded queue is at
-	// capacity — backpressure instead of unbounded growth. HTTP maps it
-	// to 429.
+	// ErrQueueFull rejects a submission when the bounded queue already
+	// holds its depth of work of the same or a more urgent class —
+	// backpressure instead of unbounded growth. HTTP maps it to 429.
 	ErrQueueFull = errors.New("service: submission queue full")
 	// ErrClosed rejects submissions after Close has begun.
 	ErrClosed = errors.New("service: manager closed")
@@ -125,8 +125,12 @@ type flight struct {
 type Config struct {
 	// Workers is the solve worker pool size (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the submission queue (default 16). Submissions
-	// beyond it fail with ErrQueueFull.
+	// QueueDepth bounds the submission queue per class (default 16): a
+	// fresh solve of class c fails with ErrQueueFull when QueueDepth
+	// solves of class c or a more urgent one are already queued. With
+	// the three classes Spec.Validate admits, at most 3 × QueueDepth
+	// solves wait. Coalesced and cache-hit submissions take no slot,
+	// and journal recovery queues past the bound.
 	QueueDepth int
 	// CacheEntries bounds the finished results kept after delivery
 	// (default 64; negative keeps none and disables cache hits). A done
@@ -190,13 +194,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Manager runs solve jobs: bounded queue in front of a worker pool,
-// per-job lifecycle tracking, content-addressed result cache and
-// single-flight coalescing.
+// Manager runs solve jobs: bounded class-ordered queue in front of a
+// worker pool, per-job lifecycle tracking, content-addressed result
+// cache and single-flight coalescing.
 type Manager struct {
-	cfg   Config
-	reg   *metrics.Registry
-	queue chan *flight
+	cfg Config
+	reg *metrics.Registry
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -204,6 +207,10 @@ type Manager struct {
 
 	mu   sync.Mutex
 	jobs *JobTable[JobStatus, *Job]
+	// queue holds the flights waiting for a worker, each ranked by its
+	// lead job; workers wait on work for one to arrive.
+	queue *Queue[*flight]
+	work  *sync.Cond
 	// inflight maps a content key to its queued or running solve
 	// (single-flight): identical submissions attach instead of taking
 	// a second worker.
@@ -290,10 +297,9 @@ func Recover(cfg Config) (*Manager, error) {
 		baseCancel: cancel,
 		inflight:   make(map[string]*flight),
 		results:    newStore[*field.CC[float64]](int64(cfg.CacheEntries)),
+		queue:      NewQueue[*flight](cfg.QueueDepth),
 	}
-	// The queue must hold every recovered flight on top of the normal
-	// depth, or replay would deadlock before the workers exist.
-	m.queue = make(chan *flight, cfg.QueueDepth+len(pending))
+	m.work = sync.NewCond(&m.mu)
 	if m.cfg.Solver == nil {
 		m.cfg.Solver = m.solve
 	}
@@ -326,7 +332,7 @@ func Recover(cfg Config) (*Manager, error) {
 	m.packed = NewPackedCache(defaultPackedRetainBytes, r)
 
 	// Restore the pre-crash queue before workers exist, so recovered
-	// flights run in their original submission order.
+	// flights run in their original class and submission order.
 	m.recovery = RecoveryStats{RecordsReplayed: len(recs), JobsRecovered: len(pending), TornTail: tornTail}
 	m.mReplayed.Add(int64(len(recs)))
 	if tornTail {
@@ -356,13 +362,29 @@ func Recover(cfg Config) (*Manager, error) {
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
-			for fl := range m.queue {
-				m.gQueued.Dec()
+			for fl := m.next(); fl != nil; fl = m.next() {
 				m.runFlight(fl)
 			}
 		}()
 	}
 	return m, nil
+}
+
+// next blocks until a flight is queued and takes it, or returns nil
+// once the manager is closed and its queue drained.
+func (m *Manager) next() *flight {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for {
+		if fl, ok := m.queue.Pop(); ok {
+			m.gQueued.Dec()
+			return fl
+		}
+		if m.jobs.ClosedLocked() {
+			return nil
+		}
+		m.work.Wait()
+	}
 }
 
 // Recovery reports what the startup journal replay rebuilt.
@@ -385,10 +407,7 @@ func (m *Manager) restoreJob(rec JournalRecord) {
 		m.attachLocked(fl, job) // recovered jobs carry no deadline: unbinds the flight
 		return
 	}
-	fl := m.newFlight(job)
-	m.queue <- fl // capacity was sized to hold every recovered flight
-	m.gQueued.Inc()
-	m.inflight[fl.key] = fl
+	m.queueFlightLocked(job)
 }
 
 // solve is the default solver: in-process, reporting into the
@@ -417,7 +436,7 @@ func (m *Manager) Packed() *PackedCache { return m.packed }
 // job's status. The submission is served from the result cache when
 // possible, attached to an identical in-flight solve when one exists
 // (single-flight), and otherwise enqueued — or rejected with
-// ErrQueueFull when the bounded queue is at capacity.
+// ErrQueueFull when the queue is full for the job's class.
 func (m *Manager) Submit(spec Spec) (JobStatus, error) {
 	return m.SubmitDeadline(spec, time.Time{})
 }
@@ -485,6 +504,19 @@ func (m *Manager) SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, erro
 	}
 	m.mCacheMiss.Inc()
 
+	// 2. Single-flight: an identical solve is already queued or running,
+	// and the job attaches to it instead of burning a second worker.
+	// Otherwise admission control: a fresh solve needs a queue slot for
+	// its class.
+	fl, coalesce := m.inflight[job.Key]
+	if !coalesce {
+		if err := m.queue.Admit(job.Class); err != nil {
+			m.mRejected.Inc()
+			m.jobs.Rejected(job.Class)
+			return JobStatus{}, err
+		}
+	}
+
 	// Write-ahead: the job is durably journaled before it can run, so a
 	// crash between here and its terminal record replays it. A journal
 	// that cannot take the record refuses the job — accepting work the
@@ -495,44 +527,28 @@ func (m *Manager) SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, erro
 		}
 	}
 
-	// 2. Single-flight: an identical solve is already queued or running
-	// — attach to it instead of burning a second worker.
-	if fl, ok := m.inflight[job.Key]; ok {
+	if coalesce {
 		m.attachLocked(fl, job)
 		m.mCoalesced.Inc()
-		m.mSubmitted.Inc()
-		m.jobs.AddLocked(job)
-		return job.Snapshot(), nil
+	} else {
+		m.queueFlightLocked(job)
 	}
-
-	// 3. Fresh solve: admission-controlled enqueue.
-	fl := m.newFlight(job)
-	select {
-	case m.queue <- fl:
-	default:
-		fl.cancel()
-		m.mRejected.Inc()
-		m.jobs.Rejected(job.Class)
-		if m.journal != nil {
-			// Compensate the submit record so the rejected job is not
-			// resurrected by a replay.
-			_ = m.journal.Append(JournalRecord{Op: OpCancelled, ID: job.ID, Key: job.Key})
-		}
-		return JobStatus{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, m.cfg.QueueDepth)
-	}
-	m.gQueued.Inc()
 	m.mSubmitted.Inc()
-	m.inflight[fl.key] = fl
 	m.jobs.AddLocked(job)
 	return job.Snapshot(), nil
 }
 
-// newFlight is a fresh solve for job j alone, bounded by j's deadline.
-func (m *Manager) newFlight(j *Job) *flight {
+// queueFlightLocked queues a fresh solve for job j alone, bounded by
+// j's deadline and ranked by j's class and Seq, and wakes a worker.
+// Callers hold m.mu (or run single-threaded during Recover).
+func (m *Manager) queueFlightLocked(j *Job) {
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	fl := &flight{key: j.Key, spec: j.Spec, ctx: ctx, cancel: cancel, jobs: []*Job{j}, refs: 1, deadline: j.Deadline}
 	j.fl = fl
-	return fl
+	m.inflight[fl.key] = fl
+	m.queue.Push(j.Class, j.Seq, fl)
+	m.gQueued.Inc()
+	m.work.Signal()
 }
 
 // attachLocked rides job j on the in-flight solve fl: j inherits the
@@ -565,8 +581,8 @@ func (m *Manager) attachLocked(fl *flight, j *Job) {
 func (m *Manager) runFlight(fl *flight) {
 	defer fl.cancel()
 	if fl.ctx.Err() != nil {
-		// Every attached job was cancelled while queued; the flight was
-		// already forgotten by the last Cancel.
+		// Every attached job was cancelled as the flight left the queue,
+		// or Close ran out of time.
 		return
 	}
 	start := time.Now()
@@ -793,9 +809,13 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 	if fl := j.fl; fl != nil {
 		if fl.refs--; fl.refs == 0 {
 			// Last interested job: stop the solve. A still-queued flight
-			// is forgotten so later identical submissions start fresh.
+			// leaves the queue at once, freeing its slot, and is
+			// forgotten so later identical submissions start fresh.
 			delete(m.inflight, fl.key)
 			fl.cancel()
+			if m.queue.Remove(fl.jobs[0].Seq) {
+				m.gQueued.Dec()
+			}
 		}
 	}
 	return j.Snapshot(), nil
@@ -810,7 +830,7 @@ func (m *Manager) Close(ctx context.Context) error {
 		m.mu.Unlock()
 		return nil
 	}
-	close(m.queue)
+	m.work.Broadcast()
 	m.mu.Unlock()
 
 	drained := make(chan struct{})
