@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"github.com/uintah-repro/rmcrt/internal/calib"
+	"github.com/uintah-repro/rmcrt/internal/mathutil"
 	"github.com/uintah-repro/rmcrt/internal/service"
 	"github.com/uintah-repro/rmcrt/internal/workload"
 )
@@ -179,8 +180,8 @@ func simulateFleet(plan *workload.Plan, svc []float64, shards, workers int, slo 
 		st := ClassStats{
 			Count: len(lats),
 			Mean:  sum / float64(len(lats)),
-			P50:   quantile(lats, 0.50),
-			P95:   quantile(lats, 0.95),
+			P50:   mathutil.Quantile(lats, 0.50),
+			P95:   mathutil.Quantile(lats, 0.95),
 			Max:   lats[len(lats)-1],
 			Met:   true,
 		}
@@ -194,20 +195,4 @@ func simulateFleet(plan *workload.Plan, svc []float64, shards, workers int, slo 
 		pt.ByClass[class] = st
 	}
 	return pt
-}
-
-// quantile is the nearest-rank quantile of sorted values — exact, not
-// interpolated, so plans are bit-stable across hosts.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

@@ -34,9 +34,8 @@ func runAbuseSpec(t *testing.T, spec workload.Spec, seed uint64) (*workload.Repo
 	h := newSoakHarness(t, 8, lim)
 	defer h.close(t)
 	report, err := workload.Run(context.Background(), plan, workload.RunConfig{
-		Target:       h.router.URL,
-		PollInterval: 2 * time.Millisecond,
-		JobTimeout:   2 * time.Minute,
+		Target:     h.router.URL,
+		JobTimeout: 2 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

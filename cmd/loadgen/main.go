@@ -43,7 +43,6 @@ type options struct {
 	replay    string
 	report    string
 	normalize bool
-	poll      time.Duration
 	jobWait   time.Duration
 }
 
@@ -70,7 +69,6 @@ func run(args []string, stdout io.Writer) error {
 	fs.StringVar(&o.replay, "replay", "", "replay a recorded trace file instead of generating")
 	fs.StringVar(&o.report, "report", "-", "write the report JSON here (- = stdout)")
 	fs.BoolVar(&o.normalize, "normalize", false, "zero wall-clock fields in the report (deterministic mode)")
-	fs.DurationVar(&o.poll, "poll", 5*time.Millisecond, "job status poll interval")
 	fs.DurationVar(&o.jobWait, "job-timeout", 60*time.Second, "per-job terminal-state wait budget")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -107,10 +105,9 @@ func run(args []string, stdout io.Writer) error {
 	defer shutdown()
 
 	report, err := workload.Run(context.Background(), plan, workload.RunConfig{
-		Target:       target,
-		ASAP:         o.asap,
-		PollInterval: o.poll,
-		JobTimeout:   o.jobWait,
+		Target:     target,
+		ASAP:       o.asap,
+		JobTimeout: o.jobWait,
 	})
 	if err != nil {
 		return err
@@ -188,10 +185,8 @@ func resolveTarget(o options) (url string, shutdown func(), err error) {
 		shardCfgs = append(shardCfgs, cluster.ShardConfig{Name: fmt.Sprintf("shard%d", i), URL: srv.URL})
 	}
 	cl, err := cluster.New(cluster.Config{
-		Shards: shardCfgs,
-		Client: &http.Client{Timeout: 10 * time.Second},
-		// Fast polling: in-process shards answer in microseconds.
-		PollInterval:   2 * time.Millisecond,
+		Shards:         shardCfgs,
+		Client:         &http.Client{Timeout: 10 * time.Second},
 		HealthInterval: 50 * time.Millisecond,
 	})
 	if err != nil {

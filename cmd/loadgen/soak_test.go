@@ -104,9 +104,8 @@ func TestOverloadSoak(t *testing.T) {
 	}
 	h := newSoakHarness(t, 8, nil)
 	report, err := workload.Run(context.Background(), plan, workload.RunConfig{
-		Target:       h.router.URL,
-		PollInterval: 2 * time.Millisecond,
-		JobTimeout:   2 * time.Minute,
+		Target:     h.router.URL,
+		JobTimeout: 2 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +210,8 @@ func TestDeadlineAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	report, err := workload.Run(context.Background(), plan, workload.RunConfig{
-		Target:       srv.URL,
-		PollInterval: 2 * time.Millisecond,
-		JobTimeout:   time.Minute,
+		Target:     srv.URL,
+		JobTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package calib
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Sample is one instrumented observation: a solve's work with its
@@ -55,9 +56,11 @@ func Fit(samples []Sample) (Calibration, error) {
 
 	// Steps-model correction per level count.
 	var meas1, model1, meas2, model2 float64
+	var n2 int
 	for _, s := range samples {
 		m := ModelSteps(s.Work)
 		if s.Work.Levels == 2 {
+			n2++
 			meas2 += s.Steps
 			model2 += m
 		} else {
@@ -76,218 +79,131 @@ func Fit(samples []Sample) (Calibration, error) {
 	// Least squares, richest model first: split step rates per level
 	// class (the walker's in-ROI fast path prices single-level steps
 	// below the level-crossing blend of 2-level marches), then a shared
-	// rate, then progressively fewer parameters.
-	if base, ps1, ps2, perRay, ok := fit4(samples); ok {
-		c.SecondsBase, c.SecondsPerStep, c.SecondsPerStep2, c.SecondsPerRay = base, ps1, ps2, perRay
-		if err := c.Validate(); err != nil {
-			return Calibration{}, err
+	// rate, then progressively fewer parameters. The split fit needs
+	// two samples of each level class to identify both rates.
+	models := [][]feature{
+		{fBase, fSteps, fSteps2, fRays},
+		{fBase, fSteps, fRays},
+		{fBase, fSteps},
+		{fSteps},
+	}
+	if n2 < 2 || len(samples)-n2 < 2 {
+		models = models[1:]
+	}
+	for _, feats := range models {
+		b, ok := leastSquares(samples, feats)
+		if !ok {
+			continue
 		}
-		return c, nil
+		var price [nFeatures]float64
+		for i, f := range feats {
+			price[f] = b[i]
+		}
+		c.SecondsBase, c.SecondsPerStep, c.SecondsPerStep2, c.SecondsPerRay =
+			price[fBase], price[fSteps], price[fSteps2], price[fRays]
+		if c.Validate() == nil && (!slices.Contains(feats, fSteps2) || c.SecondsPerStep2 > 0) {
+			return c, nil
+		}
 	}
-	base, perStep, perRay, ok := fit3(samples)
-	if !ok {
-		base, perStep, ok = fit2(samples)
-		perRay = 0
-	}
-	if !ok {
-		base, perRay = 0, 0
-		perStep = fitThroughOrigin(samples)
-	}
-	c.SecondsBase, c.SecondsPerStep, c.SecondsPerRay = base, perStep, perRay
-	if err := c.Validate(); err != nil {
-		return Calibration{}, err
-	}
-	return c, nil
+	return Calibration{}, fmt.Errorf("calib: no usable fit of %d samples", len(samples))
 }
 
-// fit4 solves seconds = b0 + b1·steps₁ + b2·steps₂ + b3·rays, where
-// steps₁/steps₂ are the measured steps of single-level and 2-level
-// samples respectively (each sample contributes to exactly one). ok is
-// false when either level class is absent or too thin to identify its
-// rate, the normal equations are singular, or any coefficient is not a
-// usable price (negative or non-finite).
-func fit4(samples []Sample) (base, perStep1, perStep2, perRay float64, ok bool) {
-	var n1, n2 int
-	for _, s := range samples {
-		if s.Work.Levels == 2 {
-			n2++
-		} else {
-			n1++
+// A feature is one column of the regression, priced by one
+// Calibration coefficient.
+type feature int
+
+const (
+	// fBase is the intercept (1 per solve), priced by SecondsBase.
+	fBase feature = iota
+	// fSteps is the measured steps, priced by SecondsPerStep — of
+	// single-level samples only when fSteps2 is fitted alongside.
+	fSteps
+	// fSteps2 is the measured steps of 2-level samples, priced by
+	// SecondsPerStep2.
+	fSteps2
+	// fRays is the measured rays, priced by SecondsPerRay.
+	fRays
+	nFeatures
+)
+
+// value is the feature's regressor for sample s; split says the fit
+// prices 2-level steps separately.
+func (f feature) value(s Sample, split bool) float64 {
+	switch f {
+	case fBase:
+		return 1
+	case fSteps:
+		if split && s.Work.Levels == 2 {
+			return 0
 		}
+		return s.Steps
+	case fSteps2:
+		if s.Work.Levels == 2 {
+			return s.Steps
+		}
+		return 0
 	}
-	if n1 < 2 || n2 < 2 {
-		return 0, 0, 0, 0, false
+	return s.Rays
+}
+
+// leastSquares solves the weighted least-squares problem
+// seconds ≈ Σ bᵢ·featsᵢ, weighting each sample by relWeight, on the
+// normal equations by Gaussian elimination with partial pivoting. ok is
+// false when the system is singular or a coefficient is not finite.
+func leastSquares(samples []Sample, feats []feature) (b []float64, ok bool) {
+	k := len(feats)
+	split := slices.Contains(feats, fSteps2)
+	a := make([][]float64, k) // augmented normal equations [XᵀWX | XᵀWy]
+	for i := range a {
+		a[i] = make([]float64, k+1)
 	}
-	var a [4][5]float64
+	x := make([]float64, k)
 	for _, s := range samples {
 		w := relWeight(s)
-		var s1, s2 float64
-		if s.Work.Levels == 2 {
-			s2 = s.Steps
-		} else {
-			s1 = s.Steps
+		for i, f := range feats {
+			x[i] = f.value(s, split)
 		}
-		x := [4]float64{1, s1, s2, s.Rays}
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
+		for i := range x {
+			for j := range x {
 				a[i][j] += w * x[i] * x[j]
 			}
-			a[i][4] += w * x[i] * s.Seconds
+			a[i][k] += w * x[i] * s.Seconds
 		}
 	}
-	b, ok := solve4(&a)
-	if !ok {
-		return 0, 0, 0, 0, false
-	}
-	base, perStep1, perStep2, perRay = b[0], b[1], b[2], b[3]
-	if !(perStep1 > 0) || !(perStep2 > 0) || perRay < 0 || base < 0 ||
-		math.IsInf(base, 0) || math.IsInf(perStep1, 0) ||
-		math.IsInf(perStep2, 0) || math.IsInf(perRay, 0) {
-		return 0, 0, 0, 0, false
-	}
-	return base, perStep1, perStep2, perRay, true
-}
-
-// solve4 runs Gaussian elimination with partial pivoting on the 4×5
-// augmented system.
-func solve4(a *[4][5]float64) ([4]float64, bool) {
-	var x [4]float64
-	for col := 0; col < 4; col++ {
+	for col := 0; col < k; col++ {
 		piv := col
-		for r := col + 1; r < 4; r++ {
+		for r := col + 1; r < k; r++ {
 			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
 				piv = r
 			}
 		}
 		a[col], a[piv] = a[piv], a[col]
 		if a[col][col] == 0 {
-			return x, false
+			return nil, false
 		}
-		for r := col + 1; r < 4; r++ {
+		for r := col + 1; r < k; r++ {
 			f := a[r][col] / a[col][col]
-			for j := col; j < 5; j++ {
+			for j := col; j <= k; j++ {
 				a[r][j] -= f * a[col][j]
 			}
 		}
 	}
-	for i := 3; i >= 0; i-- {
-		v := a[i][4]
-		for j := i + 1; j < 4; j++ {
-			v -= a[i][j] * x[j]
+	b = make([]float64, k)
+	for i := k - 1; i >= 0; i-- {
+		v := a[i][k]
+		for j := i + 1; j < k; j++ {
+			v -= a[i][j] * b[j]
 		}
-		x[i] = v / a[i][i]
-	}
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return x, false
+		if b[i] = v / a[i][i]; math.IsNaN(b[i]) || math.IsInf(b[i], 0) {
+			return nil, false
 		}
 	}
-	return x, true
-}
-
-// fit3 solves seconds = b0 + b1·steps + b2·rays; ok is false when the
-// normal equations are singular or the result is not a usable pricing
-// model (negative or non-finite rates/intercept).
-func fit3(samples []Sample) (base, perStep, perRay float64, ok bool) {
-	var a [3][4]float64 // augmented normal equations
-	for _, s := range samples {
-		w := relWeight(s)
-		x := [3]float64{1, s.Steps, s.Rays}
-		for i := 0; i < 3; i++ {
-			for j := 0; j < 3; j++ {
-				a[i][j] += w * x[i] * x[j]
-			}
-			a[i][3] += w * x[i] * s.Seconds
-		}
-	}
-	b, ok := solve(&a)
-	if !ok {
-		return 0, 0, 0, false
-	}
-	base, perStep, perRay = b[0], b[1], b[2]
-	if !(perStep > 0) || perRay < 0 || base < 0 ||
-		math.IsInf(base, 0) || math.IsInf(perStep, 0) || math.IsInf(perRay, 0) {
-		return 0, 0, 0, false
-	}
-	return base, perStep, perRay, true
-}
-
-// fit2 solves seconds = b0 + b1·steps.
-func fit2(samples []Sample) (base, perStep float64, ok bool) {
-	var n, sx, sy, sxx, sxy float64
-	for _, s := range samples {
-		w := relWeight(s)
-		n += w
-		sx += w * s.Steps
-		sy += w * s.Seconds
-		sxx += w * s.Steps * s.Steps
-		sxy += w * s.Steps * s.Seconds
-	}
-	det := n*sxx - sx*sx
-	if det == 0 || math.IsInf(det, 0) {
-		return 0, 0, false
-	}
-	perStep = (n*sxy - sx*sy) / det
-	base = (sy - perStep*sx) / n
-	if !(perStep > 0) || base < 0 || math.IsInf(perStep, 0) || math.IsInf(base, 0) {
-		return 0, 0, false
-	}
-	return base, perStep, true
-}
-
-// fitThroughOrigin is the last-resort single-parameter model: the
-// weighted regression of seconds on steps through the origin. Always
-// positive for valid samples, so Fit cannot fail after reaching it.
-func fitThroughOrigin(samples []Sample) float64 {
-	var num, den float64
-	for _, s := range samples {
-		w := relWeight(s)
-		num += w * s.Steps * s.Seconds
-		den += w * s.Steps * s.Steps
-	}
-	return num / den
+	return b, true
 }
 
 // relWeight is the 1/seconds² weight that turns squared absolute
 // residuals into squared relative ones.
 func relWeight(s Sample) float64 { return 1 / (s.Seconds * s.Seconds) }
-
-// solve runs Gaussian elimination with partial pivoting on the 3×4
-// augmented system.
-func solve(a *[3][4]float64) ([3]float64, bool) {
-	var x [3]float64
-	for col := 0; col < 3; col++ {
-		piv := col
-		for r := col + 1; r < 3; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
-				piv = r
-			}
-		}
-		a[col], a[piv] = a[piv], a[col]
-		if a[col][col] == 0 {
-			return x, false
-		}
-		for r := col + 1; r < 3; r++ {
-			f := a[r][col] / a[col][col]
-			for j := col; j < 4; j++ {
-				a[r][j] -= f * a[col][j]
-			}
-		}
-	}
-	for i := 2; i >= 0; i-- {
-		v := a[i][3]
-		for j := i + 1; j < 3; j++ {
-			v -= a[i][j] * x[j]
-		}
-		x[i] = v / a[i][i]
-	}
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return x, false
-		}
-	}
-	return x, true
-}
 
 // ReportRow is one configuration's predicted-vs-measured comparison.
 type ReportRow struct {

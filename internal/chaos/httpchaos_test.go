@@ -156,9 +156,8 @@ func TestHTTPChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	report, err := workload.Run(context.Background(), plan, workload.RunConfig{
-		Target:       h.router.URL,
-		PollInterval: 2 * time.Millisecond,
-		JobTimeout:   2 * time.Minute,
+		Target:     h.router.URL,
+		JobTimeout: 2 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,9 +295,8 @@ func TestHTTPChaosBurstOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	report, err := workload.Run(context.Background(), plan, workload.RunConfig{
-		Target:       h.router.URL,
-		PollInterval: 2 * time.Millisecond,
-		JobTimeout:   2 * time.Minute,
+		Target:     h.router.URL,
+		JobTimeout: 2 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

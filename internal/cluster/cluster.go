@@ -906,15 +906,9 @@ func (c *Cluster) closing(shard *Shard) bool {
 }
 
 // statusWaitMs is the wait a watcher's status call asks of the shard:
-// PollInterval in whole milliseconds, rounded up, held under half the
-// client's timeout so a long-poll is never cut off as a transport
-// failure.
+// PollInterval, by service.StatusWaitMs.
 func (c *Cluster) statusWaitMs() int64 {
-	wait := c.cfg.PollInterval
-	if t := c.cfg.Client.Timeout; t > 0 && wait > t/2 {
-		wait = t / 2
-	}
-	return max(int64((wait+time.Millisecond-1)/time.Millisecond), 1)
+	return service.StatusWaitMs(c.cfg.PollInterval, c.cfg.Client.Timeout)
 }
 
 // shardLost demotes a shard after a transport-level failure. Health

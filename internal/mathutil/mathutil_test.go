@@ -238,6 +238,26 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestQuantile pins the nearest-rank rule, rank ⌈q·n⌉: over 18 values
+// p95 is the 18th (q·n = 17.1), which rounding q·n would put at the
+// 17th.
+func TestQuantile(t *testing.T) {
+	xs := make([]float64, 18)
+	for i := range xs {
+		xs[i] = float64(i + 1)
+	}
+	for _, c := range []struct{ q, want float64 }{
+		{0.95, 18}, {0.50, 9}, {0.99, 18}, {0, 1}, {1, 18}, {0.05, 1}, {0.06, 2},
+	} {
+		if got := Quantile(xs, c.q); got != c.want {
+			t.Errorf("Quantile(1..18, %g) = %g, want %g", c.q, got, c.want)
+		}
+	}
+	if Quantile(nil, 0.5) != 0 {
+		t.Error("Quantile of an empty slice should be 0")
+	}
+}
+
 func TestNorms(t *testing.T) {
 	xs := []float64{3, -4}
 	if got := L2Norm(xs); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {

@@ -46,6 +46,18 @@ func Median(xs []float64) float64 {
 	return 0.5 * (cp[n/2-1] + cp[n/2])
 }
 
+// Quantile returns the nearest-rank q-quantile of xs, which must be
+// sorted ascending: the value at 1-based rank ⌈q·n⌉, clamped to
+// [1, n]. It is exact, not interpolated, so reports built on it are
+// bit-stable across hosts. It returns 0 for empty input.
+func Quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[min(max(rank, 0), len(sorted)-1)]
+}
+
 // L2Norm returns sqrt(sum(x_i^2)/n): the RMS of the slice, used by the
 // accuracy studies as a grid-function norm.
 func L2Norm(xs []float64) float64 {

@@ -90,6 +90,17 @@ func ParseWait(r *http.Request) (time.Duration, error) {
 	return min(time.Duration(ms)*time.Millisecond, MaxStatusWait), nil
 }
 
+// StatusWaitMs is the wait a client's status call asks the server to
+// hold it for: wait, held under half the client's timeout so a
+// long-poll is never cut off as a transport failure, in whole
+// milliseconds rounded up, at least 1.
+func StatusWaitMs(wait, clientTimeout time.Duration) int64 {
+	if clientTimeout > 0 && wait > clientTimeout/2 {
+		wait = clientTimeout / 2
+	}
+	return max(int64((wait+time.Millisecond-1)/time.Millisecond), 1)
+}
+
 // clientID extracts the admission-control identity of a request.
 func clientID(r *http.Request) string {
 	if id := r.Header.Get(ClientIDHeader); id != "" {

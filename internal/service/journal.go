@@ -1,15 +1,14 @@
 package service
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"github.com/uintah-repro/rmcrt/internal/uda"
 )
 
 // The write-ahead job journal. rmcrtd's queue lives in memory; the
@@ -17,10 +16,10 @@ import (
 // submit record *before* it becomes runnable, every terminal transition
 // appends a matching close record, and startup replays the file to
 // rebuild exactly the queued + running set that existed at the crash.
-// Records are length-prefixed, CRC32-guarded, and fsync'd, so a torn
-// tail (the record being written when the daemon died) is detected as
-// the typed ErrTornJournal and cut off — never half-parsed into a
-// phantom job.
+// Records are internal/uda's framed records (uda.AppendRecord), fsync'd
+// on append, so a torn tail (the record being written when the daemon
+// died) is detected as the typed ErrTornJournal and cut off — never
+// half-parsed into a phantom job.
 
 // Journal record operations.
 const (
@@ -50,11 +49,8 @@ type JournalRecord struct {
 // prefix is still returned alongside it.
 var ErrTornJournal = errors.New("service: torn journal record")
 
-// journal framing: [u32 length][u32 crc32(payload)][payload JSON].
-const (
-	journalHeaderLen = 8
-	maxJournalRecord = 1 << 20
-)
+// journalHeaderLen is the record frame header (length + checksum).
+const journalHeaderLen = uda.RecordHeaderLen
 
 // Journal is an append-only, fsync'd record log. Appends are
 // goroutine-safe.
@@ -85,9 +81,9 @@ func (j *Journal) Path() string { return j.path }
 // Append durably appends one record: the write is followed by an fsync,
 // so once Append returns the record survives a crash.
 func (j *Journal) Append(rec JournalRecord) error {
-	buf, err := encodeRecord(rec)
+	buf, err := uda.AppendRecord(nil, rec)
 	if err != nil {
-		return err
+		return fmt.Errorf("service: journal append: %w", err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -104,43 +100,21 @@ func (j *Journal) Append(rec JournalRecord) error {
 }
 
 // Compact atomically rewrites the journal to hold exactly recs (the
-// live set after a replay), via temp file + fsync + rename, and swaps
-// the append handle to the new file. Startup runs it so the journal
-// stays bounded by the live job set instead of growing forever.
+// live set after a replay) with uda.WriteFileAtomic, and swaps the
+// append handle to the new file. Startup runs it so the journal stays
+// bounded by the live job set instead of growing forever.
 func (j *Journal) Compact(recs []JournalRecord) error {
 	var buf []byte
 	for _, rec := range recs {
-		b, err := encodeRecord(rec)
-		if err != nil {
-			return err
+		var err error
+		if buf, err = uda.AppendRecord(buf, rec); err != nil {
+			return fmt.Errorf("service: journal compact: %w", err)
 		}
-		buf = append(buf, b...)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(j.path)+".tmp-")
-	if err != nil {
+	if err := uda.WriteFileAtomic(j.path, buf, 0o644); err != nil {
 		return fmt.Errorf("service: journal compact: %w", err)
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(buf)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(name, j.path)
-	}
-	if werr != nil {
-		os.Remove(name)
-		return fmt.Errorf("service: journal compact: %w", werr)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	// Swap the append handle onto the compacted file; the old handle
 	// points at the unlinked inode (a zombie pre-crash process still
@@ -168,21 +142,6 @@ func (j *Journal) Close() error {
 	return err
 }
 
-func encodeRecord(rec JournalRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("service: journal encode: %w", err)
-	}
-	if len(payload) > maxJournalRecord {
-		return nil, fmt.Errorf("service: journal record %d bytes exceeds %d", len(payload), maxJournalRecord)
-	}
-	buf := make([]byte, journalHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	copy(buf[journalHeaderLen:], payload)
-	return buf, nil
-}
-
 // ReplayJournal reads the journal at path and returns every whole,
 // checksum-valid record in order. A missing file is an empty journal. A
 // torn or corrupt tail returns the valid prefix together with an error
@@ -197,29 +156,12 @@ func ReplayJournal(path string) ([]JournalRecord, error) {
 		return nil, fmt.Errorf("service: journal replay: %w", err)
 	}
 	var recs []JournalRecord
-	off := 0
-	for off < len(buf) {
-		if len(buf)-off < journalHeaderLen {
-			return recs, fmt.Errorf("%w: %d-byte tail at offset %d", ErrTornJournal, len(buf)-off, off)
-		}
-		n := int(binary.LittleEndian.Uint32(buf[off:]))
-		sum := binary.LittleEndian.Uint32(buf[off+4:])
-		if n > maxJournalRecord {
-			return recs, fmt.Errorf("%w: impossible record length %d at offset %d", ErrTornJournal, n, off)
-		}
-		if len(buf)-off-journalHeaderLen < n {
-			return recs, fmt.Errorf("%w: record at offset %d wants %d bytes, %d remain", ErrTornJournal, off, n, len(buf)-off-journalHeaderLen)
-		}
-		payload := buf[off+journalHeaderLen : off+journalHeaderLen+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, fmt.Errorf("%w: checksum mismatch at offset %d", ErrTornJournal, off)
-		}
+	for rest := buf; len(rest) > 0; {
 		var rec JournalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrTornJournal, off, err)
+		if rest, err = uda.NextRecord(rest, &rec); err != nil {
+			return recs, fmt.Errorf("%w at offset %d: %w", ErrTornJournal, len(buf)-len(rest), err)
 		}
 		recs = append(recs, rec)
-		off += journalHeaderLen + n
 	}
 	return recs, nil
 }

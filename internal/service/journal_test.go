@@ -407,3 +407,27 @@ func TestQueueFullCompensated(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverKeepsJournalMode: the compaction Recover runs on the way
+// up rewrites the journal through a temp file, and the rewritten file
+// must keep the journal's 0644 mode, not the temp file's 0600 — a
+// restart must not change who can read the journal.
+func TestRecoverKeepsJournalMode(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "jobs.wal")
+	appendAll(t, journal, []JournalRecord{{Op: OpDone, ID: "j-000001"}})
+	if err := os.Chmod(journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Recover(Config{Workers: 1, JournalPath: journal, CacheEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close(context.Background())
+	fi, err := os.Stat(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fi.Mode().Perm(); got != 0o644 {
+		t.Fatalf("journal mode after Recover = %v, want -rw-r--r--", got)
+	}
+}

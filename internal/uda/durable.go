@@ -1,20 +1,25 @@
-// Crash consistency for the archive. Uintah's UDA is the restart
-// mechanism for week-long runs, so a crash — of the writer mid-payload
-// or of the machine mid-rename — must never brick the archive or, worse,
-// let a half-written checkpoint be silently loaded. This file provides
-// the three layers that guarantee it:
+// Crash consistency for the archive, and the repo's one durable-write
+// layer. Uintah's UDA is the restart mechanism for week-long runs, so a
+// crash — of the writer mid-payload or of the machine mid-rename — must
+// never brick the archive or, worse, let a half-written checkpoint be
+// silently loaded. This file provides the layers that guarantee it:
 //
 //  1. every payload carries a CRC32 trailer over its full framing, so a
 //     torn or bit-flipped file is detected on read with a typed error;
-//  2. every file (payloads and index.json) is written via temp file +
-//     fsync + rename + directory fsync, so a crash leaves either the old
-//     bytes or the new bytes, never a mixture;
+//  2. every file (payloads and index.json) is written by WriteFileAtomic
+//     (temp file + fsync + rename + directory fsync), so a crash leaves
+//     either the old bytes or the new bytes, never a mixture;
 //  3. Verify/Repair scan an archive after a crash and quarantine torn
 //     timesteps (renamed aside, dropped from the index) so a restart
 //     resumes from the newest checkpoint that is provably whole.
+//
+// WriteFileAtomic and the framed-record codec below also serve the
+// files outside the archive (see the package doc).
 package uda
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -144,11 +149,13 @@ func decodePayload(buf []byte, strict bool) (*field.CC[float64], error) {
 	return field.NewCCFrom(box, data), nil
 }
 
-// writeFileSync writes data to path crash-consistently: a temp file in
-// the same directory, fsync, atomic rename over path, then an fsync of
-// the directory so the rename itself is durable. A crash at any point
-// leaves either the previous file or the new one, never a mixture.
-func writeFileSync(path string, data []byte, perm os.FileMode) error {
+// WriteFileAtomic writes data to path crash-consistently: a temp file
+// in the same directory, chmod to perm, fsync, atomic rename over path,
+// then an fsync of the directory so the rename itself is durable. A
+// crash at any point leaves either the previous file or the new one,
+// never a mixture, and concurrent writers to one path each use their
+// own temp file.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-")
 	if err != nil {
@@ -174,6 +181,63 @@ func writeFileSync(path string, data []byte, perm os.FileMode) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// The framed-record codec: a record is one JSON value in the frame
+// [u32 LE payload length][u32 LE crc32-IEEE(payload)][JSON payload],
+// and a record file is frames back to back with nothing between them.
+// A reader stops at the first damaged frame, so a crash mid-append
+// costs the tail record and never yields a half-parsed one.
+const (
+	// RecordHeaderLen is the frame header: payload length and checksum.
+	RecordHeaderLen = 8
+	// MaxRecord bounds one payload (1 MiB), so a corrupt length field
+	// fails fast instead of allocating garbage.
+	MaxRecord = 1 << 20
+)
+
+// ErrTornRecord marks a frame that is truncated, impossibly long,
+// fails its checksum, or does not decode — the signature of a crash
+// mid-write.
+var ErrTornRecord = errors.New("uda: torn record")
+
+// AppendRecord JSON-encodes v and appends its frame to buf.
+func AppendRecord(buf []byte, v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return buf, fmt.Errorf("uda: record encode: %w", err)
+	}
+	if len(payload) > MaxRecord {
+		return buf, fmt.Errorf("uda: record %d bytes exceeds %d", len(payload), MaxRecord)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...), nil
+}
+
+// NextRecord decodes the frame at the start of buf into v and returns
+// the bytes after it. A damaged frame returns buf unchanged and an
+// error wrapping ErrTornRecord.
+func NextRecord(buf []byte, v any) ([]byte, error) {
+	if len(buf) < RecordHeaderLen {
+		return buf, fmt.Errorf("%w: %d-byte tail", ErrTornRecord, len(buf))
+	}
+	n := getU32(buf)
+	if n > MaxRecord {
+		return buf, fmt.Errorf("%w: impossible length %d", ErrTornRecord, n)
+	}
+	end := RecordHeaderLen + int(n)
+	if len(buf) < end {
+		return buf, fmt.Errorf("%w: wants %d bytes, %d remain", ErrTornRecord, n, len(buf)-RecordHeaderLen)
+	}
+	payload := buf[RecordHeaderLen:end]
+	if crc32.ChecksumIEEE(payload) != getU32(buf[4:]) {
+		return buf, fmt.Errorf("%w: checksum mismatch", ErrTornRecord)
+	}
+	if err := json.Unmarshal(payload, v); err != nil {
+		return buf, fmt.Errorf("%w: undecodable: %v", ErrTornRecord, err)
+	}
+	return buf[end:], nil
 }
 
 // syncDir makes a directory's entries (creations and renames) durable.

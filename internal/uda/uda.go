@@ -18,6 +18,13 @@
 // + fsync + rename + directory fsync; see durable.go), and torn or
 // corrupt payloads surface as typed errors (ErrCorrupt, ErrTruncated,
 // ErrChecksum) instead of bad data.
+//
+// The package is also the repo's one durable-write layer: every file
+// that must survive a crash is written by WriteFileAtomic, and every
+// append-style record file (the rmcrtd job journal, loadgen traces) is
+// framed by the record codec AppendRecord / NextRecord —
+// [u32 LE length][u32 LE crc32-IEEE(payload)][JSON payload], at most
+// MaxRecord bytes of payload, damage reported as ErrTornRecord.
 package uda
 
 import (
@@ -106,7 +113,7 @@ func (a *Archive) writeIndex() error {
 	if err != nil {
 		return fmt.Errorf("uda: %w", err)
 	}
-	if err := writeFileSync(filepath.Join(a.dir, "index.json"), data, 0o644); err != nil {
+	if err := WriteFileAtomic(filepath.Join(a.dir, "index.json"), data, 0o644); err != nil {
 		return fmt.Errorf("uda: %w", err)
 	}
 	return nil
@@ -128,7 +135,7 @@ func (a *Archive) SaveCC(ts int, label string, patch int, v *field.CC[float64]) 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("uda: %w", err)
 	}
-	if err := writeFileSync(filepath.Join(dir, payloadName(label, patch)), encodePayload(v), 0o644); err != nil {
+	if err := WriteFileAtomic(filepath.Join(dir, payloadName(label, patch)), encodePayload(v), 0o644); err != nil {
 		return fmt.Errorf("uda: %w", err)
 	}
 	a.noteTimestep(ts)

@@ -148,31 +148,15 @@ func (r *Report) finalize(wallSeconds float64) {
 	for _, c := range r.Classes {
 		if len(c.latencies) > 0 {
 			sort.Float64s(c.latencies)
-			c.P50Ms = percentile(c.latencies, 0.50)
-			c.P95Ms = percentile(c.latencies, 0.95)
-			c.P99Ms = percentile(c.latencies, 0.99)
+			c.P50Ms = mathutil.Quantile(c.latencies, 0.50)
+			c.P95Ms = mathutil.Quantile(c.latencies, 0.95)
+			c.P99Ms = mathutil.Quantile(c.latencies, 0.99)
 			c.MeanMs = mathutil.Mean(c.latencies)
 		}
 		if wallSeconds > 0 {
 			c.GoodputPerSec = float64(c.Done) / wallSeconds
 		}
 	}
-}
-
-// percentile returns the q-quantile of sorted xs by the nearest-rank
-// method.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // Normalize zeroes every wall-clock-dependent field, leaving only the

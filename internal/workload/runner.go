@@ -23,8 +23,6 @@ type RunConfig struct {
 	// ASAP ignores the plan's timeline and issues every client's
 	// submissions back-to-back: as-fast-as-possible replay.
 	ASAP bool
-	// PollInterval is the job-status poll period (default 5ms).
-	PollInterval time.Duration
 	// JobTimeout bounds how long the runner waits for one accepted job
 	// to turn terminal (default 60s).
 	JobTimeout time.Duration
@@ -34,9 +32,6 @@ type RunConfig struct {
 }
 
 func (c RunConfig) withDefaults() RunConfig {
-	if c.PollInterval <= 0 {
-		c.PollInterval = 5 * time.Millisecond
-	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 60 * time.Second
 	}
@@ -236,27 +231,33 @@ func issue(ctx context.Context, cfg RunConfig, sub Submission) (Outcome, float64
 		return settle(ctx, cfg, sub, st, submitAt)
 	}
 
-	deadline := time.NewTimer(cfg.JobTimeout)
-	defer deadline.Stop()
-	tick := time.NewTicker(cfg.PollInterval)
-	defer tick.Stop()
+	// Each status call is held by the server until the job is terminal
+	// or the wait (the job's remaining budget, capped by
+	// service.StatusWaitMs) runs out: one call per wait window, not per
+	// poll period.
+	deadline := time.Now().Add(cfg.JobTimeout)
 	for {
-		select {
-		case <-ctx.Done():
-			return OutcomeTransport, 0, false
-		case <-deadline.C:
+		left := time.Until(deadline)
+		if left <= 0 {
 			return OutcomeTimeout, 0, false
-		case <-tick.C:
 		}
-		cur, err := pollJob(ctx, cfg, st.ID)
-		if err != nil {
-			continue // transient scrape failure: keep polling until the budget
-		}
-		if terminalState(cur.State) {
+		cur, err := pollJob(ctx, cfg, st.ID, service.StatusWaitMs(left, cfg.Client.Timeout))
+		switch {
+		case ctx.Err() != nil:
+			return OutcomeTransport, 0, false
+		case err != nil:
+			// Transient status failure: pause, then keep polling until
+			// the budget runs out.
+			sleepFor(ctx, failedPollPause)
+		case terminalState(cur.State):
 			return settle(ctx, cfg, sub, cur, submitAt)
 		}
 	}
 }
+
+// failedPollPause spaces status calls after one fails, so an unreachable
+// target is not hammered; a successful call paces itself by long-polling.
+const failedPollPause = 10 * time.Millisecond
 
 // settle classifies a terminal job, then reads and discards a done
 // job's result: a server keeps a result resident until its first read,
@@ -285,8 +286,11 @@ func discardResult(ctx context.Context, cfg RunConfig, id string, limit int64) {
 	resp.Body.Close()
 }
 
-func pollJob(ctx context.Context, cfg RunConfig, id string) (jobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.Target+"/v1/jobs/"+id, nil)
+// pollJob long-polls one job's status: the server answers when the job
+// turns terminal or after waitMs, whichever is first.
+func pollJob(ctx context.Context, cfg RunConfig, id string, waitMs int64) (jobStatus, error) {
+	url := cfg.Target + "/v1/jobs/" + id + "?wait=" + strconv.FormatInt(waitMs, 10)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return jobStatus{}, err
 	}

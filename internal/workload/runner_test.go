@@ -2,7 +2,10 @@ package workload_test
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,5 +46,49 @@ func TestRunReadsResults(t *testing.T) {
 	}
 	if got := mgr.Registry().Gauge("rmcrtd_results_resident", "").Value(); got > keep {
 		t.Fatalf("rmcrtd_results_resident = %d after %d done jobs, want <= CacheEntries %d", got, done, keep)
+	}
+}
+
+// TestRunLongPollsStatus: every status call the runner makes asks the
+// server to hold it (?wait=), so a job costs at most one status call
+// per wait window — here, with every job done well inside one window,
+// no more status calls than jobs.
+func TestRunLongPollsStatus(t *testing.T) {
+	mgr := service.New(service.Config{Workers: 2, QueueDepth: 64})
+	h := service.NewHandlerConfig(mgr, service.HandlerConfig{})
+	var polls, held atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") && !strings.HasSuffix(r.URL.Path, "/result") {
+			polls.Add(1)
+			if r.URL.Query().Has("wait") {
+				held.Add(1)
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = mgr.Close(ctx)
+	})
+	s, _ := scenarios.Get("smoke")
+	plan, err := workload.Generate(s.Spec, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := workload.Run(context.Background(), plan, workload.RunConfig{Target: srv.URL, ASAP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, c := range report.Classes {
+		done += c.Done
+	}
+	if done != len(plan.Subs) {
+		t.Fatalf("%d of %d jobs done", done, len(plan.Subs))
+	}
+	if p, w := polls.Load(), held.Load(); w != p || p > int64(done) {
+		t.Fatalf("%d status calls (%d with ?wait=) for %d jobs, want every call held and at most one per job", p, w, done)
 	}
 }

@@ -1,29 +1,21 @@
 package workload
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"github.com/uintah-repro/rmcrt/internal/uda"
 )
 
-// Trace framing, mirroring the service journal and internal/uda:
-// [u32 LE payload length][u32 LE crc32-IEEE(payload)][JSON payload].
-// Record 0 is the header; every following record is one Submission in
+// A trace file is internal/uda's framed records (uda.AppendRecord):
+// record 0 is the header, every following record is one Submission in
 // timeline order. Because the payloads serialize a Plan — a pure
 // function of (spec, seed) — the file is byte-identical across runs,
 // machines and GOMAXPROCS, which is the property the golden tests pin.
-const (
-	traceHeaderLen = 8
-	// maxTraceRecord bounds one record (1 MiB): a corrupt length field
-	// fails fast instead of allocating garbage.
-	maxTraceRecord = 1 << 20
-	traceVersion   = 1
-)
+const traceVersion = 1
 
 // ErrTornTrace reports a trace whose tail is an incomplete or
 // corrupt record; the decoded prefix is still returned.
@@ -38,121 +30,60 @@ type traceHeader struct {
 	Clients  []PlanClient `json:"clients,omitempty"`
 }
 
-func encodeTraceRecord(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if len(payload) > maxTraceRecord {
-		return fmt.Errorf("workload: trace record %d bytes exceeds cap %d", len(payload), maxTraceRecord)
-	}
-	var hdr [traceHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
-}
-
-// decodeTraceRecord reads one framed record into v. io.EOF at a record
-// boundary is returned verbatim; any torn or corrupt record maps to
-// ErrTornTrace.
-func decodeTraceRecord(r io.Reader, v any) error {
-	var hdr [traceHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		return ErrTornTrace
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxTraceRecord {
-		return ErrTornTrace
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return ErrTornTrace
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return ErrTornTrace
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return ErrTornTrace
-	}
-	return nil
-}
-
 // EncodeTrace writes the plan to w in the framed trace format.
 func EncodeTrace(w io.Writer, plan *Plan) error {
-	if err := encodeTraceRecord(w, traceHeader{
+	buf, err := uda.AppendRecord(nil, traceHeader{
 		Version: traceVersion, Workload: plan.Workload, Seed: plan.Seed,
 		Count: len(plan.Subs), Clients: plan.Clients,
-	}); err != nil {
-		return err
+	})
+	for i := 0; i < len(plan.Subs) && err == nil; i++ {
+		buf, err = uda.AppendRecord(buf, &plan.Subs[i])
 	}
-	for i := range plan.Subs {
-		if err := encodeTraceRecord(w, &plan.Subs[i]); err != nil {
-			return err
-		}
+	if err != nil {
+		return fmt.Errorf("workload: trace encode: %w", err)
 	}
-	return nil
+	_, err = w.Write(buf)
+	return err
 }
 
 // DecodeTrace reads a framed trace. A torn tail returns the valid
 // prefix plan alongside ErrTornTrace; deeper damage (bad header,
 // version mismatch) is fatal.
 func DecodeTrace(r io.Reader) (*Plan, error) {
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("workload: trace read: %w", err)
+	}
 	var hdr traceHeader
-	if err := decodeTraceRecord(r, &hdr); err != nil {
-		return nil, fmt.Errorf("workload: unreadable trace header: %w", err)
+	rest, err := uda.NextRecord(buf, &hdr)
+	if err != nil {
+		return nil, fmt.Errorf("workload: unreadable trace header: %w: %w", ErrTornTrace, err)
 	}
 	if hdr.Version != traceVersion {
 		return nil, fmt.Errorf("workload: trace version %d (this build reads %d)", hdr.Version, traceVersion)
 	}
 	plan := &Plan{Workload: hdr.Workload, Seed: hdr.Seed, Clients: hdr.Clients, Subs: make([]Submission, 0, hdr.Count)}
-	for {
+	for len(rest) > 0 {
 		var sub Submission
-		err := decodeTraceRecord(r, &sub)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return plan, ErrTornTrace
+		if rest, err = uda.NextRecord(rest, &sub); err != nil {
+			return plan, fmt.Errorf("%w: %w", ErrTornTrace, err)
 		}
 		plan.Subs = append(plan.Subs, sub)
 	}
 	if len(plan.Subs) != hdr.Count {
-		return plan, ErrTornTrace
+		return plan, fmt.Errorf("%w: %d submissions, header says %d", ErrTornTrace, len(plan.Subs), hdr.Count)
 	}
 	return plan, nil
 }
 
-// WriteTrace records the plan to path (atomically: temp file + rename,
-// so a crashed writer never leaves a half-trace under the final name).
+// WriteTrace records the plan to path with uda.WriteFileAtomic, so a
+// crash never leaves a half-trace under the final name.
 func WriteTrace(path string, plan *Plan) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := EncodeTrace(&buf, plan); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(f)
-	if err := EncodeTrace(bw, plan); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return uda.WriteFileAtomic(path, buf.Bytes(), 0o644)
 }
 
 // ReadTrace loads a recorded plan from path for replay.
@@ -162,5 +93,5 @@ func ReadTrace(path string) (*Plan, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return DecodeTrace(bufio.NewReader(f))
+	return DecodeTrace(f)
 }
