@@ -22,6 +22,7 @@ import (
 	"github.com/uintah-repro/rmcrt/internal/field"
 	"github.com/uintah-repro/rmcrt/internal/grid"
 	"github.com/uintah-repro/rmcrt/internal/mathutil"
+	"github.com/uintah-repro/rmcrt/internal/metrics"
 	"github.com/uintah-repro/rmcrt/internal/p1"
 	"github.com/uintah-repro/rmcrt/internal/rmcrt"
 	"github.com/uintah-repro/rmcrt/internal/uda"
@@ -43,7 +44,7 @@ func main() {
 	flag.Parse()
 	solveFlags = solveOptions{radiometer: *radiometer, udaDir: *udaDir}
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := metrics.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 
+	"github.com/uintah-repro/rmcrt/internal/metrics"
 	"github.com/uintah-repro/rmcrt/internal/perfmodel"
 	"github.com/uintah-repro/rmcrt/internal/sim"
 )
@@ -162,7 +163,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := metrics.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scaling:", err)
 		os.Exit(1)

@@ -14,14 +14,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -217,31 +213,9 @@ type Job struct {
 	cancelled bool
 }
 
-// JobStatus is the externally visible snapshot of a cluster job.
-type JobStatus struct {
-	ID    string        `json:"id"`
-	Key   string        `json:"key"`
-	Class string        `json:"class"`
-	State service.State `json:"state"`
-	// Shard is where the job is (or last was) placed.
-	Shard string `json:"shard,omitempty"`
-	// ShardJobID is the backend's own ID for the placement.
-	ShardJobID string `json:"shard_job_id,omitempty"`
-	// Attempts counts placements; >1 means the job was rerouted.
-	Attempts int `json:"attempts,omitempty"`
-	// EstCostSteps is the cost model's predicted DDA cell-step count;
-	// EstSeconds the predicted wall-seconds derived from it, which the
-	// deadline feasibility check holds against the budget.
-	EstCostSteps float64   `json:"est_cost_steps,omitempty"`
-	EstSeconds   float64   `json:"est_seconds,omitempty"`
-	Submitted    time.Time `json:"submitted"`
-	QueueSeconds float64   `json:"queue_seconds"`
-	RunSeconds   float64   `json:"run_seconds"`
-	Rays         int64     `json:"rays,omitempty"`
-	Steps        int64     `json:"steps,omitempty"`
-	FromCache    bool      `json:"from_cache,omitempty"`
-	Error        string    `json:"error,omitempty"`
-}
+// JobStatus is a cluster job's snapshot: the one status shape of both
+// serving planes, kept under this name for e2ebench's client.
+type JobStatus = service.JobStatus
 
 // Cluster fans rmcrtd jobs out across shards. Construct with New,
 // serve through NewHandlerConfig (or call Submit/Status/Payload/Cancel
@@ -264,10 +238,8 @@ type Cluster struct {
 	kick    chan struct{}
 
 	mu    sync.Mutex
-	jobs  *service.JobTable[JobStatus, *Job]
+	jobs  *service.JobTable[*Job]
 	queue *service.Queue[*Job] // jobs awaiting placement
-
-	classStats map[string]*classStat
 
 	// retryBudget bounds reroute volume cluster-wide; backoff paces
 	// each reroute with decorrelated jitter. Either may be nil when
@@ -286,8 +258,6 @@ type Cluster struct {
 	gJain                              *metrics.FloatGauge
 }
 
-type classStat struct{ submitted, completed int64 }
-
 // New builds and starts a Cluster: the dispatch loop and health
 // checker run immediately.
 func New(cfg Config) (*Cluster, error) {
@@ -303,17 +273,16 @@ func New(cfg Config) (*Cluster, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Cluster{
-		cfg:        cfg,
-		reg:        reg,
-		shards:     shards,
-		router:     newAffinityRouter(shards, reg),
-		queue:      service.NewQueue[*Job](cfg.QueueDepth),
-		baseCtx:    ctx,
-		cancel:     cancel,
-		kick:       make(chan struct{}, 1),
-		classStats: make(map[string]*classStat),
-		hClass:     make(map[string]*metrics.Histogram),
-		cal:        calib.Default(),
+		cfg:     cfg,
+		reg:     reg,
+		shards:  shards,
+		router:  newAffinityRouter(shards, reg),
+		queue:   service.NewQueue[*Job](cfg.QueueDepth),
+		baseCtx: ctx,
+		cancel:  cancel,
+		kick:    make(chan struct{}, 1),
+		hClass:  make(map[string]*metrics.Histogram),
+		cal:     calib.Default(),
 	}
 	if cfg.Calibration != nil {
 		if err := cfg.Calibration.Validate(); err != nil {
@@ -323,7 +292,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.cal = *cfg.Calibration
 		c.calibrated = true
 	}
-	c.jobs = service.NewJobTable[JobStatus, *Job](&c.mu, reg, "router", "r")
+	c.jobs = service.NewJobTable[*Job](&c.mu, reg, "router", "r")
 	c.mSubmitted = reg.Counter("router_jobs_submitted_total", "jobs accepted by the router")
 	c.mRejected = reg.Counter("router_jobs_rejected_total", "jobs rejected by router admission control")
 	c.mDispatched = reg.Counter("router_dispatches_total", "job placements sent to shards (includes reroutes)")
@@ -339,7 +308,6 @@ func New(cfg Config) (*Cluster, error) {
 	c.gJain = reg.FloatGauge("router_class_fairness_jain", "Jain fairness index over per-class goodput fractions (1 = perfectly fair)")
 	c.gJain.Set(1)
 	for _, class := range service.Classes() {
-		c.classStats[class] = &classStat{}
 		c.hClass[class] = reg.Histogram(
 			"router_class_latency_seconds_"+strings.ReplaceAll(class, "-", "_"),
 			"submit-to-terminal latency of "+class+" jobs", metrics.DefBuckets)
@@ -349,31 +317,33 @@ func New(cfg Config) (*Cluster, error) {
 		c.gBudgetTokens.Set(c.retryBudget.Tokens())
 	}
 	c.backoff = resilience.NewBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.Seed)
-	if cfg.BreakerThreshold > 0 {
-		for _, s := range shards.Shards() {
-			mn := metricName(s.Name())
-			gState := reg.Gauge("router_shard_"+mn+"_breaker_state",
-				"circuit position of shard "+s.Name()+" (0 closed, 1 open, 2 half-open)")
-			mOpens := reg.Counter("router_shard_"+mn+"_breaker_opens_total",
-				"times shard "+s.Name()+"'s circuit opened")
-			s.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-				FailureThreshold: cfg.BreakerThreshold,
-				Cooldown:         cfg.BreakerCooldown,
-				OnTransition: func(_, to resilience.BreakerState) {
-					gState.Set(int64(to))
-					switch to {
-					case resilience.BreakerOpen:
-						mOpens.Inc()
-						c.mBreakerOpens.Inc()
-					case resilience.BreakerHalfOpen:
-						c.mBreakerHalfOpens.Inc()
-					case resilience.BreakerClosed:
-						c.mBreakerCloses.Inc()
-					}
-					c.kickDispatch()
-				},
-			})
+	for _, s := range shards.Shards() {
+		s.api = service.NewClient(s.URL(), cfg.Client)
+		if cfg.BreakerThreshold <= 0 {
+			continue
 		}
+		mn := metricName(s.Name())
+		gState := reg.Gauge("router_shard_"+mn+"_breaker_state",
+			"circuit position of shard "+s.Name()+" (0 closed, 1 open, 2 half-open)")
+		mOpens := reg.Counter("router_shard_"+mn+"_breaker_opens_total",
+			"times shard "+s.Name()+"'s circuit opened")
+		s.breaker = resilience.NewBreaker(resilience.BreakerConfig{
+			FailureThreshold: cfg.BreakerThreshold,
+			Cooldown:         cfg.BreakerCooldown,
+			OnTransition: func(_, to resilience.BreakerState) {
+				gState.Set(int64(to))
+				switch to {
+				case resilience.BreakerOpen:
+					mOpens.Inc()
+					c.mBreakerOpens.Inc()
+				case resilience.BreakerHalfOpen:
+					c.mBreakerHalfOpens.Inc()
+				case resilience.BreakerClosed:
+					c.mBreakerCloses.Inc()
+				}
+				c.kickDispatch()
+			},
+		})
 	}
 
 	c.wg.Add(2)
@@ -439,9 +409,6 @@ func (c *Cluster) SubmitDeadline(spec service.Spec, deadline time.Time) (JobStat
 	c.jobs.Predicted(est)
 	c.jobs.AddLocked(job)
 	c.mSubmitted.Inc()
-	if st := c.classStats[job.Class]; st != nil {
-		st.submitted++
-	}
 	if expired {
 		// Dead on arrival: terminal now, without a queue slot or a
 		// dispatch — the accounting identity still sees one submission
@@ -534,40 +501,22 @@ func (c *Cluster) dispatchLoop() {
 // watches it to completion. Transport failures mark the shard lost and
 // reroute; shard backpressure requeues without burning an attempt.
 func (c *Cluster) place(job *Job, shard *Shard) {
-	body, err := json.Marshal(job.Spec)
-	if err != nil { // spec round-trips by construction; defensive only
-		c.releaseAndFinish(job, shard, service.StateFailed, err)
-		return
-	}
 	// Forward the remaining deadline budget, re-derived against the
 	// local clock (relative milliseconds survive clock skew).
-	var hdr map[string]string
+	var budget time.Duration
 	if !job.Deadline.IsZero() {
-		rem := time.Until(job.Deadline)
-		if rem <= 0 {
+		if budget = time.Until(job.Deadline); budget <= 0 {
 			c.releaseAndFinish(job, shard, service.StateFailed, c.jobs.Expire("before placement"))
 			return
 		}
-		hdr = map[string]string{
-			service.DeadlineHeader: strconv.FormatInt(int64((rem+time.Millisecond-1)/time.Millisecond), 10),
-		}
 	}
-	code, respBody, err := c.do(http.MethodPost, shard.URL()+"/v1/solve", body, hdr, smallBodyLimit)
+	st, err := shard.api.Submit(c.baseCtx, job.Spec, "", budget)
 	if c.closing(shard) {
 		return
 	}
+	var rej *service.Rejection
 	switch {
-	case err != nil:
-		c.shardLost(shard, err)
-		c.requeue(job, shard, true)
-		return
-	case code == http.StatusAccepted:
-		var st service.JobStatus
-		if err := json.Unmarshal(respBody, &st); err != nil || st.ID == "" {
-			c.shardLost(shard, fmt.Errorf("cluster: shard %s returned unparseable accept: %v", shard.Name(), err))
-			c.requeue(job, shard, true)
-			return
-		}
+	case err == nil:
 		shard.recordSuccess()
 		c.mu.Lock()
 		job.shardID = st.ID
@@ -576,7 +525,13 @@ func (c *Cluster) place(job *Job, shard *Shard) {
 		}
 		c.mu.Unlock()
 		c.watch(job, shard)
-	case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
+	case errors.As(err, new(*service.CallError)):
+		// No answer, a torn one, or an accept without a valid job ID.
+		c.shardLost(shard, err)
+		c.requeue(job, shard, true)
+	case !errors.As(err, &rej): // the spec did not encode; defensive only
+		c.releaseAndFinish(job, shard, service.StateFailed, err)
+	case rej.Code == http.StatusTooManyRequests || rej.Code == http.StatusServiceUnavailable:
 		// Shard-side backpressure: not a loss, so no attempt is burned;
 		// wait a beat so the retry does not spin against a full queue.
 		select {
@@ -588,7 +543,7 @@ func (c *Cluster) place(job *Job, shard *Shard) {
 		// The shard judged the job itself (bad spec, too large):
 		// rerouting cannot change that verdict.
 		c.releaseAndFinish(job, shard, service.StateFailed,
-			fmt.Errorf("%w: %s (HTTP %d)", ErrShardRejected, errorBody(respBody), code))
+			fmt.Errorf("%w: %s (HTTP %d)", ErrShardRejected, rej.Error(), rej.Code))
 	}
 }
 
@@ -601,7 +556,6 @@ func (c *Cluster) place(job *Job, shard *Shard) {
 // PollInterval after the last, so a shard that ignores the wait is
 // polled no faster than before.
 func (c *Cluster) watch(job *Job, shard *Shard) {
-	wait := "?wait=" + strconv.FormatInt(c.statusWaitMs(), 10)
 	var last time.Time
 	for {
 		if !last.IsZero() {
@@ -622,36 +576,31 @@ func (c *Cluster) watch(job *Job, shard *Shard) {
 		}
 		if cancelled {
 			// Best-effort: stop the shard-side solve, then observe it.
-			_, _, _ = c.do(http.MethodDelete, shard.URL()+"/v1/jobs/"+shardID, nil, nil, smallBodyLimit)
+			_ = shard.api.Cancel(c.baseCtx, shardID)
 		}
 		last = time.Now()
-		code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID+wait, nil, nil, smallBodyLimit)
+		st, err := shard.api.Status(c.baseCtx, shardID, c.statusWaitMs())
 		if c.closing(shard) {
 			return
 		}
-		if err != nil && code == 0 {
+		switch {
+		case service.TransportFailed(err):
 			c.shardLost(shard, err)
 			c.requeue(job, shard, true)
 			return
-		}
-		if err != nil {
-			// The shard answered but the status body tore: a request
-			// fault, as in fetchResult. The breaker counts it; the
-			// placement stands and the next call polls again.
+		case errors.As(err, new(*service.CallError)):
+			// The shard answered but the status body tore or is not a
+			// status: a request fault, as in fetchResult. The breaker
+			// counts it; the placement stands and the next call polls
+			// again.
 			shard.recordFailure(time.Now())
 			continue
-		}
-		if code == http.StatusNotFound {
+		case errors.Is(err, service.ErrNotFound):
 			// The shard restarted without its journal: the placement is
 			// gone even though the process answers.
 			c.requeue(job, shard, true)
 			return
-		}
-		if code != http.StatusOK {
-			continue
-		}
-		var st service.JobStatus
-		if err := json.Unmarshal(body, &st); err != nil {
+		case err != nil:
 			continue
 		}
 		c.mu.Lock()
@@ -673,21 +622,14 @@ func (c *Cluster) watch(job *Job, shard *Shard) {
 			c.releaseAndFinish(job, shard, service.StateCancelled, context.Canceled)
 			return
 		default:
-			c.releaseAndFinish(job, shard, service.StateFailed, shardError(shard, st.Error))
+			// Prefixed with the shard's name; a shard-side deadline
+			// failure still matches ErrDeadlineExceeded, so the router
+			// counts it like its own.
+			c.releaseAndFinish(job, shard, service.StateFailed,
+				fmt.Errorf("cluster: shard %s: %w", shard.Name(), service.RemoteError(st.Error)))
 			return
 		}
 	}
-}
-
-// shardError is a failure the shard reported as text, prefixed with the
-// shard's name. A shard-side deadline failure wraps ErrDeadlineExceeded,
-// so the router classifies it by errors.Is like its own; the text is
-// unchanged either way.
-func shardError(shard *Shard, msg string) error {
-	if rest, ok := strings.CutPrefix(msg, service.ErrDeadlineExceeded.Error()); ok {
-		return fmt.Errorf("cluster: shard %s: %w%s", shard.Name(), service.ErrDeadlineExceeded, rest)
-	}
-	return fmt.Errorf("cluster: shard %s: %s", shard.Name(), msg)
 }
 
 // fetchResult pulls the finished placement's divQ payload into the
@@ -695,15 +637,19 @@ func shardError(shard *Shard, msg string) error {
 // the shard slot released, if the fetch failed (the job is requeued)
 // or the router is closing.
 func (c *Cluster) fetchResult(job *Job, shard *Shard, shardID string) bool {
-	payload, code, err := c.getResult(job, shard, shardID)
+	payload, err := c.getResult(job, shard, shardID)
 	if c.closing(shard) {
 		return false
 	}
 	switch {
-	case err != nil && code == 0:
+	case service.TransportFailed(err):
 		// The transport failed: the shard died between "done" and the
 		// fetch.
 		c.shardLost(shard, err)
+		c.requeue(job, shard, true)
+		return false
+	case errors.As(err, new(*service.Rejection)):
+		// Answered other than 200: the shard no longer has the result.
 		c.requeue(job, shard, true)
 		return false
 	case err != nil:
@@ -716,48 +662,32 @@ func (c *Cluster) fetchResult(job *Job, shard *Shard, shardID string) bool {
 		shard.recordFailure(time.Now())
 		c.requeue(job, shard, true)
 		return false
-	case payload == nil:
-		c.requeue(job, shard, true)
-		return false
 	}
 	shard.recordSuccess()
 	c.mu.Lock()
 	job.result = payload
 	c.gResults.Add(1)
-	c.gResultBytes.Add(resultBytes(payload))
+	c.gResultBytes.Add(service.ResultBytes(payload.DivQ))
 	c.mu.Unlock()
 	return true
 }
 
-// getResult reads a placement's result from its shard: the body is
-// read up to what job's cells can encode, decoded, checked against the
-// job's key and cell count, and given the router's job ID. It returns
-// a nil payload and nil error when the shard answers other than 200;
-// a non-nil error with code 0 when the transport failed, and with the
-// shard's code when the body is unreadable, too long or not the job's.
-func (c *Cluster) getResult(job *Job, shard *Shard, shardID string) (*service.ResultPayload, int, error) {
-	code, body, err := c.do(http.MethodGet, shard.URL()+"/v1/jobs/"+shardID+"/result", nil, nil, service.ResultBodyLimit(job.Spec))
-	if err != nil || code != http.StatusOK {
-		return nil, code, err
-	}
-	var p service.ResultPayload
-	if err := json.Unmarshal(body, &p); err != nil {
-		return nil, code, fmt.Errorf("cluster: shard %s result: %w", shard.Name(), err)
+// getResult reads a placement's result from its shard through the
+// client, which bounds the body by what job's cells can encode, checks
+// it against the job's key and cell count, and gives it the router's
+// job ID. Its errors are the client's, or a mismatch with the job.
+func (c *Cluster) getResult(job *Job, shard *Shard, shardID string) (*service.ResultPayload, error) {
+	p := new(service.ResultPayload)
+	if err := shard.api.Result(c.baseCtx, shardID, job.Spec, p); err != nil {
+		return nil, err
 	}
 	if want := job.Spec.Cells(); p.Key != job.Key || int64(p.Cells) != want || int64(len(p.DivQ)) != want {
-		return nil, code, fmt.Errorf("cluster: shard %s result is key %s with %d cells (%d values), want key %s with %d",
+		return nil, fmt.Errorf("cluster: shard %s result is key %s with %d cells (%d values), want key %s with %d",
 			shard.Name(), p.Key, p.Cells, len(p.DivQ), job.Key, want)
 	}
 	p.ID = job.ID
-	return &p, code, nil
+	return p, nil
 }
-
-// smallBodyLimit bounds a status, accept or error body, a few hundred
-// bytes of JSON; result bodies are bounded by service.ResultBodyLimit.
-const smallBodyLimit = 64 << 10
-
-// resultBytes is the memory a payload's values take.
-func resultBytes(p *service.ResultPayload) int64 { return 8 * int64(len(p.DivQ)) }
 
 // requeue returns a job to the dispatch queue after releasing its
 // shard slot. countAttempt distinguishes shard loss (bounded by
@@ -844,9 +774,6 @@ func (c *Cluster) finishLocked(job *Job, st service.State, err error) {
 		return
 	}
 	if st == service.StateDone {
-		if cs := c.classStats[job.Class]; cs != nil {
-			cs.completed++
-		}
 		if c.retryBudget != nil {
 			// Successes earn back retry slack.
 			c.retryBudget.Credit()
@@ -856,21 +783,7 @@ func (c *Cluster) finishLocked(job *Job, st service.State, err error) {
 	if h := c.hClass[job.Class]; h != nil {
 		h.Observe(job.Finished.Sub(job.Submitted).Seconds())
 	}
-	c.updateJainLocked()
-}
-
-// updateJainLocked recomputes the fairness gauge from per-class
-// goodput fractions. Callers hold c.mu.
-func (c *Cluster) updateJainLocked() {
-	var xs []float64
-	for _, class := range service.Classes() {
-		cs := c.classStats[class]
-		if cs == nil || cs.submitted == 0 {
-			continue
-		}
-		xs = append(xs, float64(cs.completed)/float64(cs.submitted))
-	}
-	c.gJain.Set(JainIndex(xs))
+	c.gJain.Set(JainIndex(c.jobs.Goodputs()))
 }
 
 // JainIndex is Jain's fairness index over per-class goodput fractions
@@ -934,7 +847,7 @@ func (c *Cluster) healthLoop() {
 		case <-t.C:
 		}
 		for _, s := range c.shards.Shards() {
-			_, _, err := c.do(http.MethodGet, s.URL()+"/healthz", nil, nil, smallBodyLimit)
+			err := s.api.Health(c.baseCtx)
 			s.mu.Lock()
 			if err == nil {
 				s.fails = 0
@@ -951,55 +864,6 @@ func (c *Cluster) healthLoop() {
 		}
 		c.kickDispatch()
 	}
-}
-
-// do performs one backend HTTP call under the cluster's lifetime
-// context and returns the status code and body. hdr adds extra request
-// headers (nil for none); a body longer than limit bytes is an error.
-// A non-nil error with code 0 means the transport failed — the shard,
-// not the job, is suspect; with a nonzero code the shard answered but
-// its body could not be read or ran past limit.
-func (c *Cluster) do(method, url string, body []byte, hdr map[string]string, limit int64) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(c.baseCtx, method, url, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	// One byte past the limit tells an over-long body from one that
-	// fits exactly, without letting a corrupt shard OOM the router.
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	if int64(len(data)) > limit {
-		return resp.StatusCode, nil, fmt.Errorf("cluster: body from %s exceeds the %d-byte read limit", url, limit)
-	}
-	return resp.StatusCode, data, nil
-}
-
-// errorBody extracts the daemon's error string from a non-2xx body.
-func errorBody(body []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	return strings.TrimSpace(string(body))
 }
 
 // Status returns a job's snapshot.
@@ -1035,12 +899,12 @@ func (c *Cluster) Payload(id string) (*service.ResultPayload, JobStatus, bool, e
 	if p != nil {
 		job.result = nil
 		c.gResults.Dec()
-		c.gResultBytes.Add(-resultBytes(p))
+		c.gResultBytes.Add(-service.ResultBytes(p.DivQ))
 	}
 	c.mu.Unlock()
 	if p == nil {
 		// Delivered before: the router keeps no copy.
-		p, _, _ = c.getResult(job, shard, shardID)
+		p, _ = c.getResult(job, shard, shardID)
 	}
 	return p, st, true, nil
 }

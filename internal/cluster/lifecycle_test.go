@@ -27,6 +27,8 @@ type lifecycleEnv struct {
 	submit func(spec service.Spec, deadline time.Time) (id string, st service.State, err error)
 	status func(id string) (service.State, string)
 	cancel func(id string) error
+	// handler serves the plane's job API under hc.
+	handler func(hc service.HandlerConfig) http.Handler
 
 	jobs     map[string]string // accepted job ID → class
 	rejected map[string]int64  // expected class_rejected
@@ -109,6 +111,7 @@ func lifecycleDaemon(t *testing.T) *lifecycleEnv {
 		return st.State, st.Error
 	}
 	e.cancel = func(id string) error { _, err := mgr.Cancel(id); return err }
+	e.handler = func(hc service.HandlerConfig) http.Handler { return service.NewHandlerConfig(mgr, hc) }
 	return e
 }
 
@@ -151,6 +154,7 @@ func lifecycleRouter(t *testing.T) *lifecycleEnv {
 		return st.State, st.Error
 	}
 	e.cancel = func(id string) error { _, err := c.Cancel(id); return err }
+	e.handler = func(hc service.HandlerConfig) http.Handler { return NewHandlerConfig(c, hc) }
 	return e
 }
 

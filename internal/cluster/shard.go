@@ -8,6 +8,7 @@ import (
 
 	"github.com/uintah-repro/rmcrt/internal/metrics"
 	"github.com/uintah-repro/rmcrt/internal/resilience"
+	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
 // ShardState is a backend's placement eligibility.
@@ -40,6 +41,7 @@ type ShardConfig struct {
 type Shard struct {
 	name string
 	url  string
+	api  *service.Client // the job API at url, set by New
 
 	mu       sync.Mutex
 	state    ShardState

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"regexp"
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/uintah-repro/rmcrt/internal/field"
@@ -213,6 +214,9 @@ func newResultPayload(id, key string, divQ *field.CC[float64]) ResultPayload {
 // separator, and a few hundred bytes of fields around the array.
 func ResultBodyLimit(spec Spec) int64 { return spec.Cells()*26 + 4<<10 }
 
+// ResultBytes is the memory a result's divQ values take.
+func ResultBytes(divQ []float64) int64 { return 8 * int64(len(divQ)) }
+
 // errorPayload is every non-2xx body that is not a job status.
 type errorPayload struct {
 	Error string `json:"error"`
@@ -228,6 +232,50 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // WriteError answers with code and err as the {"error": ...} body.
 func WriteError(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, errorPayload{Error: err.Error()})
+}
+
+// apiErrors is the job API's typed-error vocabulary on the wire: each
+// error and the HTTP status a handler answers it with. Handlers look an
+// error up by errors.Is (statusOf); Client maps a status, and the error
+// text where one status carries two, back to the error (typedAs). Code
+// 0 marks an error that reaches a client only as a failed job's status
+// text.
+var apiErrors = []struct {
+	err  error
+	code int
+}{
+	{ErrQueueFull, http.StatusTooManyRequests},
+	{resilience.ErrRateLimited, http.StatusTooManyRequests},
+	{ErrTooLarge, http.StatusRequestEntityTooLarge},
+	{ErrBodyTooLarge, http.StatusRequestEntityTooLarge},
+	{ErrDeadlineInfeasible, http.StatusUnprocessableEntity},
+	{ErrClosed, http.StatusServiceUnavailable},
+	{ErrNotFound, http.StatusNotFound},
+	{ErrDeadlineExceeded, 0},
+}
+
+// statusOf is the HTTP status a handler answers err with: its
+// apiErrors code, else fallback.
+func statusOf(err error, fallback int) int {
+	for _, e := range apiErrors {
+		if e.code != 0 && errors.Is(err, e.err) {
+			return e.code
+		}
+	}
+	return fallback
+}
+
+// typedAs is the apiErrors error that a reply with HTTP status code
+// (0 for a job's status text) and error text msg started from: the
+// first entry of that code whose text msg carries, else the code's
+// first entry; nil when the code has none.
+func typedAs(code int, msg string) (typed error) {
+	for _, e := range apiErrors {
+		if e.code == code && (strings.Contains(msg, e.err.Error()) || typed == nil && code != 0) {
+			typed = e.err
+		}
+	}
+	return typed
 }
 
 // ParseSubmit decodes and validates a submit body into a normalized
@@ -250,19 +298,18 @@ func ParseSubmit(body io.Reader) (Spec, error) {
 }
 
 // Backend is what the job API serves: the daemon's Manager or the
-// cluster router's Cluster. S is the backend's job-status snapshot,
-// written to clients as JSON.
-type Backend[S any] interface {
+// cluster router's Cluster, each answering with JobStatus snapshots.
+type Backend interface {
 	// SubmitDeadline admits a normalized spec under an absolute
 	// deadline (zero = none).
-	SubmitDeadline(spec Spec, deadline time.Time) (S, error)
-	Status(id string) (S, error)
+	SubmitDeadline(spec Spec, deadline time.Time) (JobStatus, error)
+	Status(id string) (JobStatus, error)
 	// Wait blocks until the job is terminal or ctx ends.
-	Wait(ctx context.Context, id string) (S, error)
+	Wait(ctx context.Context, id string) (JobStatus, error)
 	// Payload returns a job's divQ payload — nil unless the job is done
 	// — with its status; the boolean reports whether it is terminal.
-	Payload(id string) (*ResultPayload, S, bool, error)
-	Cancel(id string) (S, error)
+	Payload(id string) (*ResultPayload, JobStatus, bool, error)
+	Cancel(id string) (JobStatus, error)
 	JobCount() map[State]int
 	Registry() *metrics.Registry
 	// HealthFields are added to /healthz beside "status" and "jobs"
@@ -296,7 +343,7 @@ type HandlerConfig struct {
 //	GET    /metrics             plain-text metrics exposition
 //
 // The returned mux is open for a backend's own extra routes.
-func NewHandlerConfig[S any](b Backend[S], hc HandlerConfig) *http.ServeMux {
+func NewHandlerConfig(b Backend, hc HandlerConfig) *http.ServeMux {
 	maxBody := hc.MaxBody
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBodyBytes
@@ -316,11 +363,9 @@ func NewHandlerConfig[S any](b Backend[S], hc HandlerConfig) *http.ServeMux {
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
-				WriteError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("%w (limit %d bytes)", ErrBodyTooLarge, mbe.Limit))
-				return
+				err = fmt.Errorf("%w (limit %d bytes)", ErrBodyTooLarge, mbe.Limit)
 			}
-			WriteError(w, http.StatusBadRequest, err)
+			WriteError(w, statusOf(err, http.StatusBadRequest), err)
 			return
 		}
 		st, err := b.SubmitDeadline(spec, deadline)
@@ -328,18 +373,13 @@ func NewHandlerConfig[S any](b Backend[S], hc HandlerConfig) *http.ServeMux {
 		case err == nil:
 			WriteJSON(w, http.StatusAccepted, st)
 		case errors.Is(err, ErrQueueFull):
+			// A load problem: worth retrying shortly. An infeasible
+			// deadline (422) is not — the same job with the same deadline
+			// can never succeed — so it gets no Retry-After.
 			w.Header().Set("Retry-After", "1")
 			WriteError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, ErrTooLarge):
-			WriteError(w, http.StatusRequestEntityTooLarge, err)
-		case errors.Is(err, ErrDeadlineInfeasible):
-			// Not a load problem: retrying the same job with the same
-			// deadline can never succeed, so no Retry-After.
-			WriteError(w, http.StatusUnprocessableEntity, err)
-		case errors.Is(err, ErrClosed):
-			WriteError(w, http.StatusServiceUnavailable, err)
-		default: // SpecError and friends
-			WriteError(w, http.StatusBadRequest, err)
+		default: // SpecError and friends are 400
+			WriteError(w, statusOf(err, http.StatusBadRequest), err)
 		}
 	})
 
@@ -396,12 +436,10 @@ func NewHandlerConfig[S any](b Backend[S], hc HandlerConfig) *http.ServeMux {
 		switch {
 		case err == nil:
 			WriteJSON(w, http.StatusOK, st)
-		case errors.Is(err, ErrNotFound):
-			WriteError(w, http.StatusNotFound, err)
 		case errors.Is(err, ErrJobFinished):
 			WriteJSON(w, http.StatusConflict, st)
 		default:
-			WriteError(w, http.StatusInternalServerError, err)
+			WriteError(w, statusOf(err, http.StatusInternalServerError), err)
 		}
 	})
 

@@ -58,12 +58,12 @@ func (r *JobRecord) ErrText() string {
 }
 
 // TableJob is a plane's job type: a pointer to a struct embedding
-// JobRecord that snapshots itself into the plane's status shape S.
-type TableJob[S any] interface {
+// JobRecord that snapshots itself into a JobStatus.
+type TableJob interface {
 	record() *JobRecord
 	// Snapshot is the job's externally visible status. Called with the
 	// plane's mutex held.
-	Snapshot() S
+	Snapshot() JobStatus
 }
 
 // Per-class counter families, in registration order.
@@ -96,7 +96,7 @@ var classFamilyHelp = [classFamilies][2]string{
 // <prefix>_jobs_{done,failed,cancelled,expired,infeasible}_total,
 // <prefix>_predicted_seconds_total and
 // <prefix>_class_<family>_total_<class>.
-type JobTable[S any, J TableJob[S]] struct {
+type JobTable[J TableJob] struct {
 	mu       *sync.Mutex
 	idPrefix string
 	seq      int64
@@ -111,8 +111,8 @@ type JobTable[S any, J TableJob[S]] struct {
 
 // NewJobTable builds a plane's job table under mu, registering its
 // metrics in reg under prefix. Job IDs read idPrefix-NNNNNN.
-func NewJobTable[S any, J TableJob[S]](mu *sync.Mutex, reg *metrics.Registry, prefix, idPrefix string) *JobTable[S, J] {
-	t := &JobTable[S, J]{
+func NewJobTable[J TableJob](mu *sync.Mutex, reg *metrics.Registry, prefix, idPrefix string) *JobTable[J] {
+	t := &JobTable[J]{
 		mu:          mu,
 		idPrefix:    idPrefix,
 		jobs:        make(map[string]J),
@@ -134,7 +134,7 @@ func NewJobTable[S any, J TableJob[S]](mu *sync.Mutex, reg *metrics.Registry, pr
 
 // classInc bumps one per-class counter, ignoring unknown classes (the
 // spec validator rejects them before any job exists).
-func (t *JobTable[S, J]) classInc(class string, family int) {
+func (t *JobTable[J]) classInc(class string, family int) {
 	if c := t.class[family][class]; c != nil {
 		c.Inc()
 	}
@@ -149,14 +149,14 @@ func newJobRecord(id string, seq int64, spec Spec, deadline time.Time) JobRecord
 }
 
 // NextLocked returns a queued record for spec under the next job ID.
-func (t *JobTable[S, J]) NextLocked(spec Spec, deadline time.Time) JobRecord {
+func (t *JobTable[J]) NextLocked(spec Spec, deadline time.Time) JobRecord {
 	t.seq++
 	return newJobRecord(fmt.Sprintf("%s-%06d", t.idPrefix, t.seq), t.seq, spec, deadline)
 }
 
 // AddLocked tracks a submitted job j, counting it in its class's
 // class_submitted.
-func (t *JobTable[S, J]) AddLocked(j J) {
+func (t *JobTable[J]) AddLocked(j J) {
 	r := j.record()
 	t.jobs[r.ID] = j
 	t.classInc(r.Class, classSubmitted)
@@ -165,7 +165,7 @@ func (t *JobTable[S, J]) AddLocked(j J) {
 // RestoreLocked tracks a job re-created from a journal under its
 // original ID. It is not a new submission, so it is not counted; later
 // NextLocked IDs never reuse its ID.
-func (t *JobTable[S, J]) RestoreLocked(j J) {
+func (t *JobTable[J]) RestoreLocked(j J) {
 	r := j.record()
 	if _, err := fmt.Sscanf(r.ID, t.idPrefix+"-%d", &r.Seq); err == nil && r.Seq > t.seq {
 		t.seq = r.Seq
@@ -174,10 +174,10 @@ func (t *JobTable[S, J]) RestoreLocked(j J) {
 }
 
 // ClosedLocked reports whether CloseLocked has run.
-func (t *JobTable[S, J]) ClosedLocked() bool { return t.closed }
+func (t *JobTable[J]) ClosedLocked() bool { return t.closed }
 
 // CloseLocked marks the table closed, reporting whether this call did.
-func (t *JobTable[S, J]) CloseLocked() bool {
+func (t *JobTable[J]) CloseLocked() bool {
 	first := !t.closed
 	t.closed = true
 	return first
@@ -188,7 +188,7 @@ func (t *JobTable[S, J]) CloseLocked() bool {
 // (a failure wrapping ErrDeadlineExceeded also as class_deadline). It
 // reports false, changing nothing, when j is already terminal — the
 // plane's own terminal bookkeeping runs only on true.
-func (t *JobTable[S, J]) FinishLocked(j J, st State, err error) bool {
+func (t *JobTable[J]) FinishLocked(j J, st State, err error) bool {
 	r := j.record()
 	if r.State.Terminal() {
 		return false
@@ -220,7 +220,7 @@ func Expired(deadline, now time.Time) bool {
 // Expire counts one job whose deadline passed before stage (in
 // <prefix>_jobs_expired_total) and returns the typed error to fail it
 // with.
-func (t *JobTable[S, J]) Expire(stage string) error {
+func (t *JobTable[J]) Expire(stage string) error {
 	t.mExpired.Inc()
 	return fmt.Errorf("%w: expired %s", ErrDeadlineExceeded, stage)
 }
@@ -229,7 +229,7 @@ func (t *JobTable[S, J]) Expire(stage string) error {
 // class predicted to take est seconds is rejected — counted infeasible
 // and class_rejected — when est exceeds its remaining deadline budget.
 // A zero deadline is always feasible.
-func (t *JobTable[S, J]) Feasible(class string, est float64, deadline time.Time) error {
+func (t *JobTable[J]) Feasible(class string, est float64, deadline time.Time) error {
 	if deadline.IsZero() {
 		return nil
 	}
@@ -243,13 +243,26 @@ func (t *JobTable[S, J]) Feasible(class string, est float64, deadline time.Time)
 
 // Predicted adds an admitted job's predicted seconds to
 // <prefix>_predicted_seconds_total.
-func (t *JobTable[S, J]) Predicted(est float64) { t.fcPredicted.Add(est) }
+func (t *JobTable[J]) Predicted(est float64) { t.fcPredicted.Add(est) }
 
 // Rejected counts one submission of class turned away at admission.
-func (t *JobTable[S, J]) Rejected(class string) { t.classInc(class, classRejected) }
+func (t *JobTable[J]) Rejected(class string) { t.classInc(class, classRejected) }
+
+// Goodputs is, for each class with a submission, the fraction of its
+// accepted jobs that completed, read from its class_done and
+// class_submitted counters.
+func (t *JobTable[J]) Goodputs() []float64 {
+	var xs []float64
+	for _, c := range Classes() {
+		if sub := t.class[classSubmitted][c].Value(); sub > 0 {
+			xs = append(xs, float64(t.class[classDone][c].Value())/float64(sub))
+		}
+	}
+	return xs
+}
 
 // LookupLocked returns the job with the given ID, or ErrNotFound.
-func (t *JobTable[S, J]) LookupLocked(id string) (J, error) {
+func (t *JobTable[J]) LookupLocked(id string) (J, error) {
 	j, ok := t.jobs[id]
 	if !ok {
 		return j, ErrNotFound
@@ -260,49 +273,46 @@ func (t *JobTable[S, J]) LookupLocked(id string) (J, error) {
 // CancellableLocked returns the live job a cancel of id may stop. It
 // fails with ErrNotFound, or with ErrJobFinished and the job's status
 // when the job is already terminal.
-func (t *JobTable[S, J]) CancellableLocked(id string) (J, S, error) {
-	var st S
+func (t *JobTable[J]) CancellableLocked(id string) (J, JobStatus, error) {
 	j, err := t.LookupLocked(id)
 	if err != nil {
-		return j, st, err
+		return j, JobStatus{}, err
 	}
 	if j.record().State.Terminal() {
 		return j, j.Snapshot(), ErrJobFinished
 	}
-	return j, st, nil
+	return j, JobStatus{}, nil
 }
 
 // Status returns a job's snapshot.
-func (t *JobTable[S, J]) Status(id string) (S, error) {
+func (t *JobTable[J]) Status(id string) (JobStatus, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	j, err := t.LookupLocked(id)
 	if err != nil {
-		var st S
-		return st, err
+		return JobStatus{}, err
 	}
 	return j.Snapshot(), nil
 }
 
 // Wait blocks until the job reaches a terminal state or ctx expires.
-func (t *JobTable[S, J]) Wait(ctx context.Context, id string) (S, error) {
-	var st S
+func (t *JobTable[J]) Wait(ctx context.Context, id string) (JobStatus, error) {
 	t.mu.Lock()
 	j, err := t.LookupLocked(id)
 	t.mu.Unlock()
 	if err != nil {
-		return st, err
+		return JobStatus{}, err
 	}
 	select {
 	case <-j.record().done:
 	case <-ctx.Done():
-		return st, ctx.Err()
+		return JobStatus{}, ctx.Err()
 	}
 	return t.Status(id)
 }
 
 // JobCount returns how many tracked jobs are in each state.
-func (t *JobTable[S, J]) JobCount() map[State]int {
+func (t *JobTable[J]) JobCount() map[State]int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	counts := make(map[State]int, 5)

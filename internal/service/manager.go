@@ -78,15 +78,30 @@ type Job struct {
 	fl *flight
 }
 
-// JobStatus is the externally visible snapshot of a job.
+// JobStatus is the externally visible snapshot of a job on either
+// serving plane: the daemon's Manager and the router's Cluster answer
+// with it, and Client decodes it. The router-only fields stay empty on
+// a daemon, so each plane emits only its own keys.
 type JobStatus struct {
 	ID  string `json:"id"`
 	Key string `json:"key"`
 	// Class is the job's SLO class ("interactive" / "batch" /
 	// "best-effort"); the cluster router schedules on it.
-	Class     string    `json:"class,omitempty"`
-	State     State     `json:"state"`
-	Submitted time.Time `json:"submitted"`
+	Class string `json:"class,omitempty"`
+	State State  `json:"state"`
+	// Shard is where a router job is (or last was) placed.
+	Shard string `json:"shard,omitempty"`
+	// ShardJobID is the shard's own ID for a router job's placement.
+	ShardJobID string `json:"shard_job_id,omitempty"`
+	// Attempts counts a router job's placements; >1 means it was
+	// rerouted.
+	Attempts int `json:"attempts,omitempty"`
+	// EstCostSteps is the router's predicted DDA cell-step count for the
+	// job; EstSeconds the predicted wall-seconds derived from it, which
+	// the deadline feasibility check holds against the budget.
+	EstCostSteps float64   `json:"est_cost_steps,omitempty"`
+	EstSeconds   float64   `json:"est_seconds,omitempty"`
+	Submitted    time.Time `json:"submitted"`
 	// QueueSeconds is time from submission to solve start (or to now /
 	// terminal for jobs that never started).
 	QueueSeconds float64 `json:"queue_seconds"`
@@ -206,7 +221,7 @@ type Manager struct {
 	wg         sync.WaitGroup
 
 	mu   sync.Mutex
-	jobs *JobTable[JobStatus, *Job]
+	jobs *JobTable[*Job]
 	// queue holds the flights waiting for a worker, each ranked by its
 	// lead job; workers wait on work for one to arrive.
 	queue *Queue[*flight]
@@ -304,7 +319,7 @@ func Recover(cfg Config) (*Manager, error) {
 		m.cfg.Solver = m.solve
 	}
 	r := m.reg
-	m.jobs = NewJobTable[JobStatus, *Job](&m.mu, r, "rmcrtd", "j")
+	m.jobs = NewJobTable[*Job](&m.mu, r, "rmcrtd", "j")
 	m.mSubmitted = r.Counter("rmcrtd_jobs_submitted_total", "jobs accepted into the queue")
 	m.mRejected = r.Counter("rmcrtd_jobs_rejected_total", "jobs rejected because the queue was full")
 	m.mTooLarge = r.Counter("rmcrtd_jobs_too_large_total", "jobs rejected by the per-job cell budget")
@@ -712,7 +727,7 @@ func (m *Manager) finishLocked(j *Job, st State, divQ *field.CC[float64], err er
 // Callers hold m.mu.
 func (m *Manager) pinResultLocked(key string, divQ *field.CC[float64]) {
 	if m.results.insert(key, divQ, 1) {
-		m.gResultBytes.Add(resultBytes(divQ))
+		m.gResultBytes.Add(ResultBytes(divQ.Data()))
 	}
 	m.gResults.Set(m.results.cost)
 }
@@ -722,14 +737,11 @@ func (m *Manager) pinResultLocked(key string, divQ *field.CC[float64]) {
 func (m *Manager) unpinResultLocked(key string) {
 	evicted := m.results.unpin(key)
 	for _, divQ := range evicted {
-		m.gResultBytes.Add(-resultBytes(divQ))
+		m.gResultBytes.Add(-ResultBytes(divQ.Data()))
 	}
 	m.mEvicted.Add(int64(len(evicted)))
 	m.gResults.Set(m.results.cost)
 }
-
-// resultBytes is the memory a result's values take.
-func resultBytes(divQ *field.CC[float64]) int64 { return 8 * int64(len(divQ.Data())) }
 
 // Snapshot is the job's status. Callers hold the manager's mutex.
 func (j *Job) Snapshot() JobStatus {

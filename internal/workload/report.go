@@ -35,8 +35,9 @@ const (
 	OutcomeFailed Outcome = "failed"
 	// OutcomeCancelled: ended cancelled.
 	OutcomeCancelled Outcome = "cancelled"
-	// OutcomeTransport: the submission never reached the server
-	// (connection refused, reset).
+	// OutcomeTransport: the submission got no usable answer
+	// (connection refused or reset, a torn accept, or an accept whose
+	// job ID the API never issues).
 	OutcomeTransport Outcome = "transport"
 	// OutcomeTimeout: accepted, but not terminal before the runner's
 	// per-job wait budget expired.

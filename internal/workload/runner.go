@@ -1,17 +1,15 @@
 package workload
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
+	"github.com/uintah-repro/rmcrt/internal/resilience"
 	"github.com/uintah-repro/rmcrt/internal/service"
 )
 
@@ -39,14 +37,6 @@ func (c RunConfig) withDefaults() RunConfig {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	return c
-}
-
-// jobStatus is the subset of the daemon/router job snapshot the runner
-// decodes — both serving planes emit these fields.
-type jobStatus struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	Error string `json:"error,omitempty"`
 }
 
 // Run executes the plan against cfg.Target and aggregates the
@@ -82,6 +72,7 @@ func Run(ctx context.Context, plan *Plan, cfg RunConfig) (*Report, error) {
 		mu.Unlock()
 	}
 
+	api := service.NewClient(cfg.Target, cfg.Client)
 	before, berr := scrapeCounters(ctx, cfg, plan)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -94,7 +85,7 @@ func Run(ctx context.Context, plan *Plan, cfg RunConfig) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runClient(ctx, cfg, pc, subs, start, record)
+			runClient(ctx, cfg, api, pc, subs, start, record)
 		}()
 	}
 	wg.Wait()
@@ -109,7 +100,7 @@ func Run(ctx context.Context, plan *Plan, cfg RunConfig) (*Report, error) {
 }
 
 // runClient issues one client instance's submissions in order.
-func runClient(ctx context.Context, cfg RunConfig, pc PlanClient, subs []Submission, start time.Time, record func(string, Outcome, float64, bool)) {
+func runClient(ctx context.Context, cfg RunConfig, api *service.Client, pc PlanClient, subs []Submission, start time.Time, record func(string, Outcome, float64, bool)) {
 	mode := pc.Mode
 	if cfg.ASAP {
 		mode = ModeASAP
@@ -133,7 +124,7 @@ func runClient(ctx context.Context, cfg RunConfig, pc PlanClient, subs []Submiss
 		switch mode {
 		case ModeOpen:
 			// Fire at the planned absolute offset.
-			if !sleepUntil(ctx, start.Add(sub.At)) {
+			if !sleepFor(ctx, time.Until(start.Add(sub.At))) {
 				record(sub.Class, OutcomeTransport, 0, false)
 				continue
 			}
@@ -157,15 +148,11 @@ func runClient(ctx context.Context, cfg RunConfig, pc PlanClient, subs []Submiss
 		go func(sub Submission) {
 			defer wg.Done()
 			defer func() { slots <- struct{}{} }()
-			o, latency, hinted := issue(ctx, cfg, sub)
+			o, latency, hinted := issue(ctx, cfg, api, sub)
 			record(sub.Class, o, latency, hinted)
 		}(sub)
 	}
 	wg.Wait()
-}
-
-func sleepUntil(ctx context.Context, t time.Time) bool {
-	return sleepFor(ctx, time.Until(t))
 }
 
 func sleepFor(ctx context.Context, d time.Duration) bool {
@@ -185,63 +172,25 @@ func sleepFor(ctx context.Context, d time.Duration) bool {
 // issue submits one job and waits for its terminal state, classifying
 // the outcome. Latency is submit→observed-terminal in milliseconds.
 // The third return marks a 429 that carried a Retry-After hint.
-func issue(ctx context.Context, cfg RunConfig, sub Submission) (Outcome, float64, bool) {
-	body, err := json.Marshal(sub.Spec)
-	if err != nil {
-		return OutcomeRejected, 0, false
-	}
+func issue(ctx context.Context, cfg RunConfig, api *service.Client, sub Submission) (Outcome, float64, bool) {
 	submitAt := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.Target+"/v1/solve", bytes.NewReader(body))
+	// The client ID keys per-client admission on this client instance;
+	// the planned deadline budget rides along when one is set.
+	st, err := api.Submit(ctx, sub.Spec, sub.Client, time.Duration(sub.DeadlineMs)*time.Millisecond)
 	if err != nil {
-		return OutcomeTransport, 0, false
+		return refused(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	// Identify ourselves so per-client admission keys on this client
-	// instance, and attach the planned deadline budget when one is set.
-	req.Header.Set(service.ClientIDHeader, sub.Client)
-	if sub.DeadlineMs > 0 {
-		req.Header.Set(service.DeadlineHeader, strconv.Itoa(sub.DeadlineMs))
-	}
-	resp, err := cfg.Client.Do(req)
-	if err != nil {
-		return OutcomeTransport, 0, false
-	}
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		// Both admission paths answer 429; the body says which. A
-		// rate-limited client was personally over allowance — a
-		// queue-full one just hit a busy server.
-		hinted := resp.Header.Get("Retry-After") != ""
-		if strings.Contains(string(raw), "rate limited") {
-			return OutcomeRateLimited, 0, hinted
-		}
-		return OutcomeQueueFull, 0, hinted
-	}
-	var st jobStatus
-	decodeErr := json.Unmarshal(raw, &st)
-	switch {
-	case resp.StatusCode >= 400:
-		return OutcomeRejected, 0, false
-	case decodeErr != nil || st.ID == "":
-		return OutcomeTransport, 0, false
-	}
-	if terminalState(st.State) {
-		// Cache hits come back already terminal.
-		return settle(ctx, cfg, sub, st, submitAt)
-	}
-
-	// Each status call is held by the server until the job is terminal
-	// or the wait (the job's remaining budget, capped by
-	// service.StatusWaitMs) runs out: one call per wait window, not per
-	// poll period.
+	// Cache hits come back already terminal. Otherwise each status call
+	// is held by the server until the job is terminal or the wait (the
+	// job's remaining budget, capped by service.StatusWaitMs) runs out:
+	// one call per wait window, not per poll period.
 	deadline := time.Now().Add(cfg.JobTimeout)
-	for {
+	for !st.State.Terminal() {
 		left := time.Until(deadline)
 		if left <= 0 {
 			return OutcomeTimeout, 0, false
 		}
-		cur, err := pollJob(ctx, cfg, st.ID, service.StatusWaitMs(left, cfg.Client.Timeout))
+		cur, err := api.Status(ctx, st.ID, service.StatusWaitMs(left, cfg.Client.Timeout))
 		switch {
 		case ctx.Err() != nil:
 			return OutcomeTransport, 0, false
@@ -249,10 +198,30 @@ func issue(ctx context.Context, cfg RunConfig, sub Submission) (Outcome, float64
 			// Transient status failure: pause, then keep polling until
 			// the budget runs out.
 			sleepFor(ctx, failedPollPause)
-		case terminalState(cur.State):
-			return settle(ctx, cfg, sub, cur, submitAt)
+		default:
+			st = cur
 		}
 	}
+	return settle(ctx, api, sub, st, submitAt)
+}
+
+// refused classifies a submission that was not accepted. Both admission
+// paths answer 429, told apart by the typed error the client maps the
+// reply back to: a rate-limited client was personally over allowance, a
+// queue-full one just hit a busy server.
+func refused(err error) (Outcome, float64, bool) {
+	var rej *service.Rejection
+	switch {
+	case errors.As(err, new(*service.CallError)):
+		return OutcomeTransport, 0, false
+	case !errors.As(err, &rej):
+		return OutcomeRejected, 0, false
+	case errors.Is(err, resilience.ErrRateLimited):
+		return OutcomeRateLimited, 0, rej.RetryAfter != ""
+	case errors.Is(err, service.ErrQueueFull):
+		return OutcomeQueueFull, 0, rej.RetryAfter != ""
+	}
+	return OutcomeRejected, 0, false
 }
 
 // failedPollPause spaces status calls after one fails, so an unreachable
@@ -262,69 +231,23 @@ const failedPollPause = 10 * time.Millisecond
 // settle classifies a terminal job, then reads and discards a done
 // job's result: a server keeps a result resident until its first read,
 // so a load generator that never read one would grow its target by one
-// result per job. Latency is taken before the read: submit→terminal.
-func settle(ctx context.Context, cfg RunConfig, sub Submission, st jobStatus, submitAt time.Time) (Outcome, float64, bool) {
+// result per job. A failed read changes nothing the runner reports.
+// Latency is taken before the read: submit→terminal.
+func settle(ctx context.Context, api *service.Client, sub Submission, st service.JobStatus, submitAt time.Time) (Outcome, float64, bool) {
 	latencyMs := time.Since(submitAt).Seconds() * 1e3
-	if st.State == "done" {
-		discardResult(ctx, cfg, st.ID, service.ResultBodyLimit(sub.Spec))
+	if st.State == service.StateDone {
+		_ = api.Result(ctx, st.ID, sub.Spec, nil)
 	}
 	return classify(st), latencyMs, false
 }
 
-// discardResult reads up to limit bytes of a job's result and drops
-// them. A failed read changes nothing the runner reports.
-func discardResult(ctx context.Context, cfg RunConfig, id string, limit int64) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.Target+"/v1/jobs/"+id+"/result", nil)
-	if err != nil {
-		return
-	}
-	resp, err := cfg.Client.Do(req)
-	if err != nil {
-		return
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, limit))
-	resp.Body.Close()
-}
-
-// pollJob long-polls one job's status: the server answers when the job
-// turns terminal or after waitMs, whichever is first.
-func pollJob(ctx context.Context, cfg RunConfig, id string, waitMs int64) (jobStatus, error) {
-	url := cfg.Target + "/v1/jobs/" + id + "?wait=" + strconv.FormatInt(waitMs, 10)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return jobStatus{}, err
-	}
-	resp, err := cfg.Client.Do(req)
-	if err != nil {
-		return jobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return jobStatus{}, fmt.Errorf("workload: job status %d", resp.StatusCode)
-	}
-	var st jobStatus
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
-		return jobStatus{}, err
-	}
-	return st, nil
-}
-
-func terminalState(s string) bool {
-	return s == "done" || s == "failed" || s == "cancelled"
-}
-
-func classify(st jobStatus) Outcome {
-	switch st.State {
-	case "done":
+func classify(st service.JobStatus) Outcome {
+	switch {
+	case st.State == service.StateDone:
 		return OutcomeDone
-	case "cancelled":
+	case st.State == service.StateCancelled:
 		return OutcomeCancelled
-	}
-	// A deadline failure reaches a client as text only, so match its
-	// wording. (The router, which also reads shard errors as text,
-	// re-wraps them as service.ErrDeadlineExceeded and classifies with
-	// errors.Is.)
-	if strings.Contains(st.Error, "deadline exceeded") {
+	case errors.Is(service.RemoteError(st.Error), service.ErrDeadlineExceeded):
 		return OutcomeDeadline
 	}
 	return OutcomeFailed

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -90,5 +91,45 @@ func TestRunLongPollsStatus(t *testing.T) {
 	}
 	if p, w := polls.Load(), held.Load(); w != p || p > int64(done) {
 		t.Fatalf("%d status calls (%d with ?wait=) for %d jobs, want every call held and at most one per job", p, w, done)
+	}
+}
+
+// TestRunRefusesInvalidJobID: an accept whose job ID the API never
+// issues counts as a transport outcome, and the ID reaches no URL: the
+// target sees no request outside the job API's paths.
+func TestRunRefusesInvalidJobID(t *testing.T) {
+	allowed := regexp.MustCompile(`^(/v1/solve|/metrics|/v1/jobs/[jr]-[0-9]{6,20}(/result)?)$`)
+	var stray atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !allowed.MatchString(r.URL.Path) {
+			stray.Add(1)
+		}
+		switch r.URL.Path {
+		case "/v1/solve":
+			service.WriteJSON(w, http.StatusAccepted, map[string]string{"id": "j-000001/../x", "state": "queued"})
+		case "/metrics":
+		default:
+			service.WriteError(w, http.StatusNotFound, service.ErrNotFound)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	s, _ := scenarios.Get("smoke")
+	plan, err := workload.Generate(s.Spec, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := workload.Run(context.Background(), plan, workload.RunConfig{Target: srv.URL, ASAP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	transport := 0
+	for _, c := range report.Classes {
+		transport += c.Transport
+	}
+	if transport != len(plan.Subs) {
+		t.Fatalf("%d of %d submissions counted transport", transport, len(plan.Subs))
+	}
+	if n := stray.Load(); n > 0 {
+		t.Fatalf("target received %d requests outside the job API", n)
 	}
 }

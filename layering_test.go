@@ -1,8 +1,15 @@
 package rmcrt_test
 
 import (
+	"go/ast"
 	"go/build"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -55,5 +62,51 @@ func TestLayering(t *testing.T) {
 				t.Errorf("%s no longer imports %s: drop it from the allow-list", dir, want)
 			}
 		}
+	}
+}
+
+// TestJobAPIPathsHaveOneHome: the job API's paths are spelled only in
+// internal/service, where NewHandlerConfig serves them and Client
+// calls them, so no other package of the module speaks the wire
+// protocol by hand. It fails on any string literal starting "/v1/" in
+// a non-test Go file outside internal/service. Nested modules
+// (e2ebench) and testdata are not part of the main module.
+func TestJobAPIPathsHaveOneHome(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		home := filepath.Dir(path) == filepath.Join("internal", "service")
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING || home {
+				return true
+			}
+			if v, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(v, "/v1/") {
+				t.Errorf("%s: job API path %s outside internal/service: call it through service.Client", fset.Position(lit.Pos()), lit.Value)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
