@@ -11,13 +11,13 @@ package rmcrt_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"testing"
 
 	rmcrt "github.com/uintah-repro/rmcrt"
 	"github.com/uintah-repro/rmcrt/internal/alloc"
+	"github.com/uintah-repro/rmcrt/internal/benchpair"
 	"github.com/uintah-repro/rmcrt/internal/commpool"
 	"github.com/uintah-repro/rmcrt/internal/dom"
 	"github.com/uintah-repro/rmcrt/internal/perfmodel"
@@ -364,49 +364,45 @@ func BenchmarkStratifiedVsPlain(b *testing.B) {
 	}
 }
 
-// --- Performance gate: pinned end-to-end + calibration ------------------
+// --- Performance gate: pinned end-to-end ------------------------------
 //
-// These two are part of cmd/perfgate's pinned set (with the engine
-// benchmarks in internal/rmcrt). BenchmarkServiceSolveEndToEnd covers
-// the whole serving path — admission, worker pool, tile-scheduled
-// solve, result handling; BenchmarkPerfCalibration is a fixed scalar
-// workload perfgate uses to normalize host speed when comparing runs
-// from different machines. Renames are baseline-breaking: regenerate
+// Part of cmd/perfgate's pinned set (with the engine benchmarks in
+// internal/rmcrt and the packed-cache benchmark in internal/service).
+// It covers the whole serving path — admission, worker pool,
+// tile-scheduled solve, result handling — against a bare Spec.Solve of
+// the same kind of spec, so its ratio is the share of a small job the
+// serving path costs. Renames are baseline-breaking: regenerate
 // BENCH_rmcrt.json in the same commit.
 
 func BenchmarkServiceSolveEndToEnd(b *testing.B) {
 	m := rmcrt.NewSolveService(rmcrt.SolveServiceConfig{Workers: 2})
 	defer m.Close(context.Background())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// A fresh seed per iteration defeats the result cache, so every
-		// iteration pays for a real solve.
-		spec := rmcrt.SolveSpec{Kind: "benchmark", N: 12, Rays: 4, Seed: uint64(i) + 1}
-		st, err := m.Submit(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		final, err := m.Wait(context.Background(), st.ID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if final.Error != "" {
-			b.Fatalf("solve failed: %s", final.Error)
-		}
+	// A fresh seed per op defeats the result cache, so every op pays
+	// for a real solve.
+	var seed uint64
+	next := func() rmcrt.SolveSpec {
+		seed++
+		return rmcrt.SolveSpec{Kind: "benchmark", N: 12, Rays: 4, Seed: seed}
 	}
-}
-
-func BenchmarkPerfCalibration(b *testing.B) {
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		x := 1.0
-		for j := 0; j < 1000; j++ {
-			x = math.Exp(-x) + 0.5
-		}
-		sink += x
-	}
-	_ = sink
+	benchpair.Run(b,
+		func() {
+			st, err := m.Submit(next())
+			if err != nil {
+				b.Fatal(err)
+			}
+			final, err := m.Wait(context.Background(), st.ID)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if final.Error != "" {
+				b.Fatalf("solve failed: %s", final.Error)
+			}
+		},
+		func() {
+			if _, _, _, err := next().Solve(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		})
 }
 
 func BenchmarkDOM_SweepSerialVsParallel(b *testing.B) {

@@ -23,9 +23,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"unsafe"
-
-	"github.com/uintah-repro/rmcrt/internal/metrics"
 )
 
 // Arena allocates byte ranges by carving them out of large slabs, the Go
@@ -43,11 +40,6 @@ type Arena struct {
 
 	allocated atomic.Int64 // bytes handed out since last Reset
 	reserved  atomic.Int64 // bytes held in slabs
-
-	// Optional gauges kept current by the accounting paths once Publish
-	// has been called; nil until then. Guarded by mu.
-	gAllocated *metrics.Gauge
-	gReserved  *metrics.Gauge
 }
 
 // NewArena creates an arena whose slabs are slabSize bytes; allocations
@@ -72,7 +64,6 @@ func (a *Arena) Alloc(n int) []byte {
 		a.slabs = append(a.slabs, s)
 		a.reserved.Add(int64(n))
 		a.allocated.Add(int64(n))
-		a.syncGauges()
 		return s
 	}
 	if a.cur == nil || a.off+n > len(a.cur) {
@@ -84,66 +75,7 @@ func (a *Arena) Alloc(n int) []byte {
 	s := a.cur[a.off : a.off+n : a.off+n]
 	a.off += n
 	a.allocated.Add(int64(n))
-	a.syncGauges()
 	return s
-}
-
-// AllocFloat64 returns an n-element zeroed float64 slice from a
-// dedicated slab. Grid variables are float64-dominated; giving them
-// arena-backed storage keeps them off the general heap.
-func (a *Arena) AllocFloat64(n int) []float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := make([]float64, n)
-	a.reserved.Add(int64(8 * n))
-	a.allocated.Add(int64(8 * n))
-	a.syncGauges()
-	return s
-}
-
-// AllocSlice returns an n-element zeroed slice of T from a dedicated
-// slab, accounted at unsafe.Sizeof(T) bytes per element. It generalizes
-// AllocFloat64 to record types — the packed property tables in
-// internal/rmcrt draw their storage here. It is a free function because
-// Go methods cannot carry type parameters. A nil arena allocates from
-// the heap, unaccounted: for storage whose owner tracks it itself.
-func AllocSlice[T any](a *Arena, n int) []T {
-	if n < 0 {
-		panic("alloc: negative allocation")
-	}
-	if a == nil {
-		return make([]T, n)
-	}
-	var zero T
-	bytes := int64(unsafe.Sizeof(zero)) * int64(n)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := make([]T, n)
-	a.reserved.Add(bytes)
-	a.allocated.Add(bytes)
-	a.syncGauges()
-	return s
-}
-
-// Publish registers gauges exposing the arena's byte accounting in reg
-// under the given metric-name prefix (prefix "rmcrt_packed_arena"
-// yields rmcrt_packed_arena_allocated_bytes and ..._reserved_bytes).
-// Subsequent allocations and Reset keep the gauges current.
-func (a *Arena) Publish(reg *metrics.Registry, prefix string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.gAllocated = reg.Gauge(prefix+"_allocated_bytes", "bytes handed out by the arena since its last reset")
-	a.gReserved = reg.Gauge(prefix+"_reserved_bytes", "bytes held in arena slabs")
-	a.syncGauges()
-}
-
-// syncGauges mirrors the counters into the published gauges. Callers
-// hold mu.
-func (a *Arena) syncGauges() {
-	if a.gAllocated != nil {
-		a.gAllocated.Set(a.allocated.Load())
-		a.gReserved.Set(a.reserved.Load())
-	}
 }
 
 // Reset releases every slab at once (munmap of the whole arena). All
@@ -156,7 +88,6 @@ func (a *Arena) Reset() {
 	a.off = 0
 	a.allocated.Store(0)
 	a.reserved.Store(0)
-	a.syncGauges()
 }
 
 // AllocatedBytes returns the bytes handed out since the last Reset.

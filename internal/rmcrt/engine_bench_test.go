@@ -1,17 +1,23 @@
 package rmcrt
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
+	"github.com/uintah-repro/rmcrt/internal/benchpair"
 	"github.com/uintah-repro/rmcrt/internal/mathutil"
 )
 
 // Pinned benchmarks — the perf-regression gate's fixed workloads.
-// cmd/perfgate runs exactly these (plus the root-package service and
-// calibration benchmarks), records them in BENCH_rmcrt.json and fails
-// CI when they regress. Renaming one is a baseline-breaking change:
-// regenerate the baseline in the same commit (go run ./cmd/perfgate
-// -update BENCH_rmcrt.json).
+// cmd/perfgate runs exactly these (plus the packed-cache benchmark in
+// internal/service and the end-to-end service benchmark in the root
+// package), records each one's median paired ratio in BENCH_rmcrt.json
+// and fails CI when one falls. Each times its program path against a
+// partner in the same binary through benchpair.Run, so a ratio above 1
+// means the program path is the faster. Renaming one is a
+// baseline-breaking change: regenerate the baseline in the same commit
+// (go run ./cmd/perfgate -update BENCH_rmcrt.json).
 
 // benchSolveOpts is the gate's standard tracing configuration: enough
 // rays to be march-dominated, few enough that one SolveRegion pass
@@ -22,12 +28,13 @@ func benchSolveOpts() Options {
 	return opts
 }
 
+// benchSink keeps the traced intensities live so the compiler cannot
+// drop the calls that produce them.
+var benchSink float64
+
 // BenchmarkSolveRegion is the headline workload: divQ over the full
-// 32³ Burns & Christon problem, engine=tile (this PR) vs engine=slab
-// (the frozen seed engine: x-slab scheduling, atomic-per-step
-// counters). The slab variant exists so the speedup is measured, not
-// asserted; perfgate guards the tile/slab ratio as well as tile's
-// absolute time.
+// 32³ Burns & Christon problem, the tile engine against the frozen
+// seed slab engine (x-slab scheduling, atomic-per-step counters).
 func BenchmarkSolveRegion(b *testing.B) {
 	d, _, err := NewBenchmarkDomain(32)
 	if err != nil {
@@ -35,33 +42,23 @@ func BenchmarkSolveRegion(b *testing.B) {
 	}
 	region := d.finest().ROI
 	opts := benchSolveOpts()
-
-	b.Run("engine=tile", func(b *testing.B) {
-		b.ReportAllocs()
-		start := d.Steps.Load()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	benchpair.Run(b,
+		func() {
 			if _, err := d.SolveRegion(region, &opts); err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportMetric(float64(d.Steps.Load()-start)/b.Elapsed().Seconds()/1e6, "Msteps/s")
-	})
-	b.Run("engine=slab", func(b *testing.B) {
-		b.ReportAllocs()
-		start := d.Steps.Load()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		},
+		func() {
 			if _, err := seedSolveRegion(d, region, &opts); err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportMetric(float64(d.Steps.Load()-start)/b.Elapsed().Seconds()/1e6, "Msteps/s")
-	})
+		})
 }
 
 // BenchmarkTraceRayPinned marches one fixed diagonal ray through the
-// 32³ domain — the pure DDA cost with no scheduling around it.
+// 32³ domain through the public TraceRay (walker set-up, march, counter
+// flush) against the frozen seed march of the same ray: the pure DDA
+// cost with no scheduling around it.
 func BenchmarkTraceRayPinned(b *testing.B) {
 	d, _, err := NewBenchmarkDomain(32)
 	if err != nil {
@@ -70,50 +67,37 @@ func BenchmarkTraceRayPinned(b *testing.B) {
 	opts := benchSolveOpts()
 	origin := mathutil.V3(0.01, 0.02, 0.03)
 	dir := mathutil.V3(1, 1, 1).Normalized()
-	b.ReportAllocs()
-	start := d.Steps.Load()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += d.TraceRay(origin, dir, nil, &opts)
-	}
-	_ = sink
-	b.ReportMetric(float64(d.Steps.Load()-start)/b.Elapsed().Seconds()/1e6, "Msteps/s")
+	benchpair.Run(b,
+		func() { benchSink += d.TraceRay(origin, dir, nil, &opts) },
+		func() { benchSink += seedTraceRay(d, origin, dir, nil, &opts) })
 }
 
-// BenchmarkMultiLevelWalk traces rays that start on a fine patch and
-// drop to the coarse radiation level — the AMR walk the paper's
-// multi-level algorithm lives on.
+// BenchmarkMultiLevelWalk traces a ray that starts on a fine patch and
+// drops to the coarse radiation level — the AMR walk the paper's
+// multi-level algorithm lives on — against the seed march of the same
+// ray.
 func BenchmarkMultiLevelWalk(b *testing.B) {
 	g, mk, err := NewMultiLevelBenchmark(32, 16, 2, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	patch := g.Levels[1].Patches[0]
-	d, err := mk(patch)
+	d, err := mk(g.Levels[1].Patches[0])
 	if err != nil {
 		b.Fatal(err)
 	}
 	opts := benchSolveOpts()
 	origin := mathutil.V3(0.05, 0.06, 0.07)
 	dir := mathutil.V3(1, 0.7, 0.4).Normalized()
-	b.ReportAllocs()
-	start := d.Steps.Load()
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += d.TraceRay(origin, dir, nil, &opts)
-	}
-	_ = sink
-	b.ReportMetric(float64(d.Steps.Load()-start)/b.Elapsed().Seconds()/1e6, "Msteps/s")
+	benchpair.Run(b,
+		func() { benchSink += d.TraceRay(origin, dir, nil, &opts) },
+		func() { benchSink += seedTraceRay(d, origin, dir, nil, &opts) })
 }
 
-// BenchmarkPackedDDA marches the same fixed diagonal ray with the
-// walker (fused per-cell records, one integer add per step) vs the
-// frozen seed march (three separate field lookups recomputing the flat
-// offset from the cell coordinate every step) — the pure per-step cost
-// of the walker over the seed. perfgate guards the unpacked/packed
-// ratio in-run.
+// BenchmarkPackedDDA marches the same fixed diagonal ray with a reused
+// walker (fused per-cell records, one integer add per step) against
+// the frozen seed march (three separate field lookups recomputing the
+// flat offset from the cell coordinate every step) — the per-step cost
+// of the packed layout alone.
 func BenchmarkPackedDDA(b *testing.B) {
 	d, _, err := NewBenchmarkDomain(32)
 	if err != nil {
@@ -122,40 +106,23 @@ func BenchmarkPackedDDA(b *testing.B) {
 	opts := benchSolveOpts()
 	origin := mathutil.V3(0.01, 0.02, 0.03)
 	dir := mathutil.V3(1, 1, 1).Normalized()
-
-	b.Run("layout=packed", func(b *testing.B) {
-		b.ReportAllocs()
-		w := newWalker(d, &opts, nil)
-		b.ResetTimer()
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			sink += w.trace(origin, dir, nil)
-		}
-		_ = sink
-		if w.cnt.steps > 0 {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(w.cnt.steps), "ns/step")
-		}
-	})
-	b.Run("layout=unpacked", func(b *testing.B) {
-		b.ReportAllocs()
-		start := d.Steps.Load()
-		b.ResetTimer()
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			sink += seedTraceRay(d, origin, dir, nil, &opts)
-		}
-		_ = sink
-		if steps := d.Steps.Load() - start; steps > 0 {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
-		}
-	})
+	w := newWalker(d, &opts, nil)
+	benchpair.Run(b,
+		func() { benchSink += w.trace(origin, dir, nil) },
+		func() { benchSink += seedTraceRay(d, origin, dir, nil, &opts) })
 }
 
-// BenchmarkCounterContention isolates the bug the tentpole fixes: many
-// goroutines marching rays while tallying steps, with the seed's
-// shared-atomic-per-step scheme vs the worker-private merge. The gap
-// between the two sub-benchmarks IS the contention cost (plus the
-// hoisted option rereads); perfgate guards their ratio.
+// contentionRays is how many rays each goroutine of one
+// BenchmarkCounterContention op traces: enough that goroutine start-up
+// is a small share of the op.
+const contentionRays = 32
+
+// BenchmarkCounterContention isolates the contention the tile engine
+// removed: GOMAXPROCS goroutines marching rays at once while tallying
+// steps, each with a private walker merged once at the end (the
+// program) against the seed's shared atomic per step (the partner).
+// One op is one such parallel batch, so every goroutine of an op runs
+// the same scheme and the atomics contend only with each other.
 func BenchmarkCounterContention(b *testing.B) {
 	d, _, err := NewBenchmarkDomain(16)
 	if err != nil {
@@ -164,25 +131,32 @@ func BenchmarkCounterContention(b *testing.B) {
 	opts := benchSolveOpts()
 	origin := mathutil.V3(0.01, 0.02, 0.03)
 	dir := mathutil.V3(1, 0.9, 0.8).Normalized()
-
-	b.Run("atomicPerStep", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			var sink float64
-			for pb.Next() {
-				sink += seedTraceRay(d, origin, dir, nil, &opts)
-			}
-			_ = sink
+	parallel := func(trace func()) {
+		var wg sync.WaitGroup
+		for p := runtime.GOMAXPROCS(0); p > 0; p-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				trace()
+			}()
+		}
+		wg.Wait()
+	}
+	benchpair.Run(b,
+		func() {
+			parallel(func() {
+				w := newWalker(d, &opts, nil)
+				for i := 0; i < contentionRays; i++ {
+					w.trace(origin, dir, nil)
+				}
+				w.cnt.flushTo(d)
+			})
+		},
+		func() {
+			parallel(func() {
+				for i := 0; i < contentionRays; i++ {
+					seedTraceRay(d, origin, dir, nil, &opts)
+				}
+			})
 		})
-	})
-	b.Run("perTileMerge", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			w := newWalker(d, &opts, nil)
-			var sink float64
-			for pb.Next() {
-				sink += w.trace(origin, dir, nil)
-			}
-			w.cnt.flushTo(d)
-			_ = sink
-		})
-	})
 }

@@ -113,6 +113,20 @@ func (o Options) maxReflections() int {
 }
 
 func (o Options) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Threshold", o.Threshold},
+		{"WallEmissivity", o.WallEmissivity},
+		{"WallSigmaT4", o.WallSigmaT4},
+		{"ScatterCoeff", o.ScatterCoeff},
+		{"AdaptiveRelTol", o.AdaptiveRelTol},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return errOpt(f.name + " must be finite")
+		}
+	}
 	switch {
 	case o.NRays <= 0:
 		return errOpt("NRays must be positive")

@@ -3,7 +3,6 @@ package rmcrt
 import (
 	"fmt"
 
-	"github.com/uintah-repro/rmcrt/internal/alloc"
 	"github.com/uintah-repro/rmcrt/internal/grid"
 )
 
@@ -16,8 +15,8 @@ import (
 // own cache line. A PackedLevel fuses {abskg, sigmaT4/π, cellType}
 // into a single contiguous per-cell record so a step is one integer
 // add (the precomputed stride for the crossed axis) and one 24-byte
-// record load. Storage comes from an alloc.Arena (the paper's
-// contribution iv), keeping the large tables off the general heap.
+// record load. Storage is an ordinary heap slice, freed by the garbage
+// collector once no domain or cache entry holds the table.
 //
 // Tables are strictly read-only once built: the values are bit-copies
 // of the level fields, so the march's arithmetic — and therefore divQ
@@ -49,10 +48,9 @@ type PackedLevel struct {
 }
 
 // PackLevel fuses ld's three property fields into one record table
-// over ld.ROI, with storage drawn from the arena (the heap when a is
-// nil). Values are copied bit-for-bit; the caller must not mutate the
-// level fields afterwards while the table is in use.
-func PackLevel(ld *LevelData, a *alloc.Arena) *PackedLevel {
+// over ld.ROI. Values are copied bit-for-bit; the caller must not
+// mutate the level fields afterwards while the table is in use.
+func PackLevel(ld *LevelData) *PackedLevel {
 	box := ld.ROI
 	ext := box.Extent()
 	pl := &PackedLevel{
@@ -60,7 +58,7 @@ func PackLevel(ld *LevelData, a *alloc.Arena) *PackedLevel {
 		ext:  ext,
 		sx:   ext.Y * ext.Z,
 		sy:   ext.Z,
-		recs: alloc.AllocSlice[PackedCell](a, ext.Volume()),
+		recs: make([]PackedCell, ext.Volume()),
 	}
 	ka, sa, ca := ld.Abskg.Data(), ld.SigmaT4OverPi.Data(), ld.CellType.Data()
 	i := 0
@@ -136,20 +134,15 @@ func (pl *PackedLevel) cursor(st *marchState) packedCursor {
 // replicated coarse level across concurrent jobs).
 type PackedDomain struct {
 	levels []*PackedLevel
-	arena  *alloc.Arena
 }
 
-// PackDomain packs every level of d. A nil arena gets a private one
-// sized so each table lands in its own dedicated slab.
-func PackDomain(d *Domain, a *alloc.Arena) *PackedDomain {
-	if a == nil {
-		a = alloc.NewArena(1 << 16)
-	}
+// PackDomain packs every level of d.
+func PackDomain(d *Domain) *PackedDomain {
 	levels := make([]*PackedLevel, len(d.Levels))
 	for i := range d.Levels {
-		levels[i] = PackLevel(&d.Levels[i], a)
+		levels[i] = PackLevel(&d.Levels[i])
 	}
-	return &PackedDomain{levels: levels, arena: a}
+	return &PackedDomain{levels: levels}
 }
 
 // NewPackedDomain assembles a packed domain from per-level tables,
@@ -175,11 +168,6 @@ func (p *PackedDomain) SizeBytes() int64 {
 	}
 	return n
 }
-
-// Arena returns the arena backing PackDomain-built tables; nil for
-// domains assembled from cached levels (their storage belongs to the
-// cache's arena).
-func (p *PackedDomain) Arena() *alloc.Arena { return p.arena }
 
 // AttachPacked installs pre-built tables on d, so a solve reuses them
 // instead of packing privately. Each table must cover the matching
@@ -222,7 +210,7 @@ func (d *Domain) ensurePacked() *PackedDomain {
 	if p := d.packed.Load(); p != nil {
 		return p
 	}
-	p := PackDomain(d, nil)
+	p := PackDomain(d)
 	if d.packed.CompareAndSwap(nil, p) {
 		return p
 	}

@@ -6,14 +6,12 @@ import (
 	"testing"
 	"unsafe"
 
-	"github.com/uintah-repro/rmcrt/internal/alloc"
 	"github.com/uintah-repro/rmcrt/internal/field"
 	"github.com/uintah-repro/rmcrt/internal/grid"
-	"github.com/uintah-repro/rmcrt/internal/metrics"
 )
 
 // The packed record must stay exactly three 8-byte words: the stride
-// arithmetic and the arena byte accounting both assume it.
+// arithmetic and SizeBytes both assume it.
 func TestPackedCellRecordSize(t *testing.T) {
 	if got := unsafe.Sizeof(PackedCell{}); got != packedCellBytes {
 		t.Fatalf("PackedCell is %d bytes, want %d", got, packedCellBytes)
@@ -31,7 +29,7 @@ func TestPackLevelBitwiseVsFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd := PackDomain(d, nil)
+	pd := PackDomain(d)
 	for li := range d.Levels {
 		ld := &d.Levels[li]
 		pl := pd.Level(li)
@@ -69,7 +67,7 @@ func TestPackedCursorMatchesOffsetOf(t *testing.T) {
 		t.Fatal(err)
 	}
 	ld := d.finest()
-	pl := PackLevel(ld, alloc.NewArena(1<<12))
+	pl := PackLevel(ld)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		c := grid.IV(rng.Intn(12), rng.Intn(12), rng.Intn(12))
@@ -124,10 +122,9 @@ func TestAttachPackedBitwiseVsPrivatePack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := alloc.NewArena(1 << 16)
 	levels := make([]*PackedLevel, len(shared.Levels))
 	for i := range shared.Levels {
-		levels[i] = PackLevel(&shared.Levels[i], a)
+		levels[i] = PackLevel(&shared.Levels[i])
 	}
 	if err := shared.AttachPacked(NewPackedDomain(levels)); err != nil {
 		t.Fatal(err)
@@ -147,7 +144,7 @@ func TestAttachPackedValidates(t *testing.T) {
 	if err := d.AttachPacked(nil); err == nil {
 		t.Fatal("nil packed domain accepted")
 	}
-	pd := PackDomain(d, nil)
+	pd := PackDomain(d)
 	if err := d.AttachPacked(NewPackedDomain(nil)); err == nil {
 		t.Fatal("level-count mismatch accepted")
 	}
@@ -158,7 +155,7 @@ func TestAttachPackedValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	shrunk.Levels[0].ROI = grid.NewBox(grid.IV(0, 0, 0), grid.IV(4, 8, 8))
-	pdSmall := PackDomain(shrunk, nil)
+	pdSmall := PackDomain(shrunk)
 	if err := d.AttachPacked(pdSmall); err == nil {
 		t.Fatal("non-covering table accepted")
 	}
@@ -171,79 +168,5 @@ func TestAttachPackedValidates(t *testing.T) {
 	d.InvalidatePacked()
 	if d.Packed() != nil {
 		t.Fatal("InvalidatePacked left tables attached")
-	}
-}
-
-// Satellite: resetting the arena between domain rebuilds must not
-// corrupt tables still in use — typed arena allocations live in
-// dedicated slabs, so Reset only drops the accounting. Quick-check
-// style: random sample cells, then rebuild over the reset arena with
-// different values and re-verify the original table.
-func TestArenaResetDoesNotAliasLiveTables(t *testing.T) {
-	a := alloc.NewArena(1 << 10)
-	d, _, err := NewBenchmarkDomain(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd := PackDomain(d, a)
-	pl := pd.Level(0)
-
-	rng := rand.New(rand.NewSource(7))
-	type sample struct {
-		c   grid.IntVector
-		rec PackedCell
-	}
-	samples := make([]sample, 0, 64)
-	for i := 0; i < 64; i++ {
-		c := grid.IV(rng.Intn(8), rng.Intn(8), rng.Intn(8))
-		samples = append(samples, sample{c, pl.At(c)})
-	}
-
-	// Rebuild: reset the arena and pack a different domain into it.
-	a.Reset()
-	d2, _, err := NewBenchmarkDomain(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2.Levels[0].Abskg.Fill(1234.5)
-	d2.Levels[0].SigmaT4OverPi.Fill(-8.25)
-	d2.Levels[0].CellType.Fill(field.Intrusion)
-	_ = PackDomain(d2, a)
-
-	for _, s := range samples {
-		got := pl.At(s.c)
-		if got != s.rec {
-			t.Fatalf("cell %v changed after arena reset+rebuild: %+v != %+v", s.c, got, s.rec)
-		}
-	}
-}
-
-// Satellite: the arena's byte accounting must be visible through the
-// metrics registry, and packing must be what moves it.
-func TestArenaPublishReportsPackedBytes(t *testing.T) {
-	reg := metrics.NewRegistry()
-	a := alloc.NewArena(1 << 10)
-	a.Publish(reg, "rmcrt_packed_arena")
-
-	gAlloc := reg.Gauge("rmcrt_packed_arena_allocated_bytes", "")
-	gRes := reg.Gauge("rmcrt_packed_arena_reserved_bytes", "")
-	if gAlloc.Value() != 0 {
-		t.Fatalf("allocated gauge %d before any packing", gAlloc.Value())
-	}
-
-	d, _, err := NewBenchmarkDomain(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd := PackDomain(d, a)
-	if gAlloc.Value() < pd.SizeBytes() {
-		t.Fatalf("allocated gauge %d < table bytes %d", gAlloc.Value(), pd.SizeBytes())
-	}
-	if gRes.Value() < pd.SizeBytes() {
-		t.Fatalf("reserved gauge %d < table bytes %d", gRes.Value(), pd.SizeBytes())
-	}
-	a.Reset()
-	if gAlloc.Value() != 0 || gRes.Value() != 0 {
-		t.Fatalf("gauges (%d, %d) nonzero after Reset", gAlloc.Value(), gRes.Value())
 	}
 }

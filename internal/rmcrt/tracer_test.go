@@ -400,6 +400,11 @@ func TestOptionsValidation(t *testing.T) {
 		{NRays: 1, Threshold: 0.1, WallEmissivity: 2},
 		{NRays: 1, Threshold: 0.1, ScatterCoeff: -1},
 		{NRays: 1, Threshold: 0.1, HaloCells: -1},
+		{NRays: 1, Threshold: math.NaN()},
+		{NRays: 1, Threshold: 0.1, WallEmissivity: math.NaN()},
+		{NRays: 1, Threshold: 0.1, WallSigmaT4: math.Inf(1)},
+		{NRays: 1, Threshold: 0.1, ScatterCoeff: math.NaN()},
+		{NRays: 1, Threshold: 0.1, AdaptiveRelTol: math.NaN()},
 	}
 	region := grid.NewBox(grid.IV(0, 0, 0), grid.Uniform(4))
 	for i, o := range bad {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
@@ -69,6 +70,8 @@ func TestAdaptiveSpectralValidation(t *testing.T) {
 		{N: 8, SpectralBands: 17},
 		{N: 8, SpectralBands: 2, SpectralSpread: 0.5},
 		{N: 8, AdaptiveRelTol: 0.05, SpectralBands: 2},
+		{N: 8, AdaptiveRelTol: math.Inf(1)},
+		{N: 8, SpectralBands: 2, SpectralSpread: math.NaN()},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -90,7 +90,7 @@ func (pc *PackedCache) acquire(key string, ld *rmcrt.LevelData) *rmcrt.PackedLev
 	pc.mu.Unlock()
 	pc.mBuilds.Inc()
 
-	t := rmcrt.PackLevel(ld, nil)
+	t := rmcrt.PackLevel(ld)
 
 	pc.mu.Lock()
 	pc.tables.insert(key, t, t.SizeBytes())

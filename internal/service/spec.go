@@ -251,6 +251,25 @@ func specErrf(format string, args ...any) error {
 // Validate checks the normalized spec.
 func (s Spec) Validate() error {
 	n := s.Normalized()
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"kappa", n.Kappa},
+		{"sigma_t4", n.SigmaT4},
+		{"scatter", n.ScatterCoeff},
+		{"wall_emissivity", n.WallEmissivity},
+		{"wall_sigma_t4", n.WallSigmaT4},
+		{"hot_kappa", n.HotKappa},
+		{"hot_sigma_t4", n.HotSigmaT4},
+		{"threshold", n.Threshold},
+		{"adaptive_rel_tol", n.AdaptiveRelTol},
+		{"spectral_spread", n.SpectralSpread},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return specErrf("%s = %g (want a finite number)", f.name, f.v)
+		}
+	}
 	switch {
 	case n.Kind != KindBenchmark && n.Kind != KindUniform && n.Kind != KindHotSpot:
 		return specErrf("kind %q (want %q, %q or %q)", n.Kind, KindBenchmark, KindUniform, KindHotSpot)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"github.com/uintah-repro/rmcrt/internal/grid"
@@ -50,6 +51,14 @@ func TestSpecValidation(t *testing.T) {
 		{N: 8, Levels: 2, PatchN: 5}, // 5 does not divide 8
 		{N: 8, Levels: 2, RR: 3},     // 3 does not divide 8
 		{N: 8, Levels: 2, PatchN: 8, RR: 1},
+		{N: 8, Kind: KindUniform, Kappa: math.NaN()},
+		{N: 8, Kind: KindUniform, SigmaT4: math.Inf(1)},
+		{N: 8, ScatterCoeff: math.Inf(1)},
+		{N: 8, WallEmissivity: math.NaN()},
+		{N: 8, WallSigmaT4: math.Inf(1)},
+		{N: 8, Kind: KindHotSpot, HotKappa: math.Inf(1)},
+		{N: 8, Kind: KindHotSpot, HotSigmaT4: math.NaN()},
+		{N: 8, Threshold: math.NaN()},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

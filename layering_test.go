@@ -14,10 +14,11 @@ import (
 	"testing"
 )
 
-// TestLayering pins the serving stack's direct internal imports to an
-// allow-list, so the reproduction stack (gpudw, alloc, sched, ...) does
-// not creep back into it and the cost model stays a leaf under both
-// serving planes. Growing a list is a design decision: say why
+// TestLayering pins the serving stack's and the kernel's direct
+// internal imports to an allow-list, so the reproduction stack (gpudw,
+// alloc, sched, ...) does not creep back into the serving stack, the
+// kernel reaches no further than it does, and the cost model stays a
+// leaf under both serving planes. Growing a list is a design decision: say why
 // next to the entry.
 func TestLayering(t *testing.T) {
 	const module = "github.com/uintah-repro/rmcrt/"
@@ -32,6 +33,14 @@ func TestLayering(t *testing.T) {
 			"internal/field", "internal/grid", "internal/mathutil", "internal/metrics",
 			"internal/resilience", "internal/rmcrt",
 			"internal/uda",
+		},
+		// The kernel: its own data types (field, grid, mathutil), its
+		// counters (metrics), and the GPU and scheduler simulators that
+		// tasks.go and distributed.go drive. Packed tables are plain
+		// heap slices, so it needs no allocator.
+		"internal/rmcrt": {
+			"internal/field", "internal/gpu", "internal/grid", "internal/mathutil",
+			"internal/metrics", "internal/sched",
 		},
 		"internal/cluster": {
 			// calib prices jobs for SJF ordering and deadline
