@@ -5,14 +5,13 @@
 //
 // Absolute numbers are host-dependent; the shapes the paper reports
 // (who wins, by what factor, where curves flatten) are asserted by the
-// test suite and regenerated as data by cmd/scaling and cmd/commbench.
+// test suite and regenerated as data by cmd/repro.
 package rmcrt_test
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 
 	rmcrt "github.com/uintah-repro/rmcrt"
@@ -46,19 +45,7 @@ func benchContainer(b *testing.B, mk func() commpool.Container, queueLen int) {
 			c.Isend(0, 1, m, nil)
 		}
 		b.StartTimer()
-		var wg sync.WaitGroup
-		for w := 0; w < threads; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for container.Len() > 0 {
-					if !container.ProcessReady() {
-						runtime.Gosched()
-					}
-				}
-			}()
-		}
-		wg.Wait()
+		commpool.ProcessAll(container, threads)
 	}
 	b.ReportMetric(float64(queueLen*b.N)/b.Elapsed().Seconds(), "msgs/s")
 }

@@ -18,6 +18,8 @@
 package commpool
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"github.com/uintah-repro/rmcrt/internal/metrics"
@@ -69,6 +71,26 @@ type Container interface {
 	ProcessReady() bool
 	// Len returns the number of records currently held.
 	Len() int
+}
+
+// ProcessAll runs workers goroutines that each call c.ProcessReady,
+// yielding when nothing was ready, until c is empty, and returns once
+// they have all stopped. It is the worker loop the Table I measurement
+// times. Records must complete eventually, or it does not return.
+func ProcessAll(c Container, workers int) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c.Len() > 0 {
+				if !c.ProcessReady() {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // segSize is the slot count per pool segment. 64 keeps a segment's state

@@ -331,3 +331,34 @@ func TestWaitFreePoolNeverLeaks(t *testing.T) {
 		}
 	}
 }
+
+// TestProcessAllDrains: the Table I worker loop returns only once every
+// record, completed by a concurrent sender, was handled exactly once.
+func TestProcessAllDrains(t *testing.T) {
+	for _, container := range []Container{NewPool(), NewLegacyVector()} {
+		const msgs = 300
+		c := simmpi.NewComm(2)
+		records := make([]*Record, msgs)
+		for i := range records {
+			records[i] = &Record{Req: c.Irecv(1, 0, i)}
+			container.Add(records[i])
+		}
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			for i := 0; i < msgs; i++ {
+				c.Isend(0, 1, i, nil)
+			}
+		}()
+		ProcessAll(container, 4)
+		<-sent
+		if container.Len() != 0 {
+			t.Fatalf("%T: %d records left", container, container.Len())
+		}
+		for i, r := range records {
+			if n := r.Handled.Load(); n != 1 {
+				t.Fatalf("%T: record %d handled %d times", container, i, n)
+			}
+		}
+	}
+}

@@ -125,7 +125,7 @@ func NewDevice(capacity int64, model CostModel) *Device {
 }
 
 // SetRecording enables (or disables) the event timeline, which tests and
-// the gpuscheduler example inspect.
+// the repro leveldb experiment inspect.
 func (d *Device) SetRecording(on bool) {
 	d.mu.Lock()
 	d.record = on

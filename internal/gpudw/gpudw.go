@@ -40,6 +40,10 @@ type PatchKey struct {
 type levelEntry struct {
 	buf  *gpu.Buffer
 	refs int
+	// ready is closed once the first acquirer's upload has finished;
+	// err is its outcome. Both are set before the close.
+	ready chan struct{}
+	err   error
 }
 
 // DW is the GPU DataWarehouse for one device. Methods are safe for
@@ -72,42 +76,53 @@ func (d *DW) Device() *gpu.Device { return d.dev }
 
 // AcquireLevelVar returns the device buffer holding the whole-level
 // variable (label, level), uploading it on the stream if this is the
-// first acquisition. Callers must balance with ReleaseLevelVar. The
-// upload callback fills the device buffer from the host variable; it
-// runs at most once per residency.
+// first acquisition. Callers must balance a successful acquire with
+// ReleaseLevelVar. The first acquirer owns the upload; concurrent
+// acquirers wait for it and share its buffer, so the variable is
+// allocated and copied at most once per residency.
 func (d *DW) AcquireLevelVar(s *gpu.Stream, label string, level int, host *field.CC[float64]) (*gpu.Buffer, error) {
 	key := LevelKey{label, level}
 	size := host.SizeBytes(8)
 
 	d.mu.Lock()
-	if e, ok := d.levels[key]; ok {
-		e.refs++
+	e, found := d.levels[key]
+	if !found {
+		e = &levelEntry{ready: make(chan struct{})}
+		d.levels[key] = e
+	}
+	e.refs++
+	d.mu.Unlock()
+
+	if found {
+		<-e.ready
+		if e.err != nil {
+			return nil, e.err
+		}
+		d.mu.Lock()
 		d.savedBytes += size // a replication design would re-upload
 		d.mu.Unlock()
 		return e.buf, nil
 	}
-	d.mu.Unlock()
 
-	// Upload outside the map lock; racing acquirers are resolved below.
+	// Upload outside the map lock; later acquirers wait on ready.
 	buf, err := d.dev.Alloc(size)
-	if err != nil {
-		return nil, fmt.Errorf("gpudw: level var %v: %w", key, err)
+	if err == nil {
+		copy(buf.Data, host.Data())
+		s.H2D(size, fmt.Sprintf("levelvar %s L%d", label, level))
 	}
-	copy(buf.Data, host.Data())
-	s.H2D(size, fmt.Sprintf("levelvar %s L%d", label, level))
-
 	d.mu.Lock()
-	if e, ok := d.levels[key]; ok {
-		// Another task won the upload race; discard ours and share.
-		e.refs++
-		d.savedBytes += size
-		d.mu.Unlock()
-		d.dev.Free(buf)
-		return e.buf, nil
+	if err != nil {
+		e.err = fmt.Errorf("gpudw: level var %v: %w", key, err)
+		delete(d.levels, key)
+	} else {
+		e.buf = buf
+		d.h2dBytes += size
 	}
-	d.levels[key] = &levelEntry{buf: buf, refs: 1}
-	d.h2dBytes += size
 	d.mu.Unlock()
+	close(e.ready)
+	if e.err != nil {
+		return nil, e.err
+	}
 	return buf, nil
 }
 

@@ -2,6 +2,7 @@ package gpudw
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -98,6 +99,7 @@ func TestLevelVarCapacityExceeded(t *testing.T) {
 
 func TestConcurrentAcquireUploadsOnce(t *testing.T) {
 	d, dev := newDW(1 << 24)
+	dev.SetRecording(true)
 	host := levelVar(16) // 32 KiB
 	var wg sync.WaitGroup
 	bufs := make([]*gpu.Buffer, 16)
@@ -129,6 +131,20 @@ func TestConcurrentAcquireUploadsOnce(t *testing.T) {
 	}
 	if dev.Used() != size {
 		t.Errorf("device used = %d, want one copy (%d)", dev.Used(), size)
+	}
+	// Losers of an upload race must not have copied or allocated either:
+	// the device records one transfer and never held a second copy.
+	uploads := 0
+	for _, e := range dev.Events() {
+		if e.Kind == gpu.EventH2D && strings.HasPrefix(e.Label, "levelvar") {
+			uploads++
+		}
+	}
+	if uploads != 1 {
+		t.Errorf("device recorded %d levelvar uploads, want 1", uploads)
+	}
+	if dev.PeakUsed() != size {
+		t.Errorf("device peak = %d, want one copy (%d)", dev.PeakUsed(), size)
 	}
 }
 

@@ -174,7 +174,7 @@ func (r *Report) Normalize() {
 }
 
 // WriteJSON renders the report with stable two-space indentation
-// (matching the cmd/scaling golden encoding).
+// (matching the cmd/repro -json golden encoding).
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

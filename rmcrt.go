@@ -131,12 +131,10 @@ var (
 	SolveDOMParallel = dom.SolveParallel
 )
 
-// S2 and S4 are level-symmetric quadrature sets; Tn builds product sets
-// of arbitrary order.
+// S2 and S4 are level-symmetric quadrature sets.
 var (
 	S2 = dom.S2
 	S4 = dom.S4
-	Tn = dom.Tn
 )
 
 // EnergySolver is the mini-ARCHES energy equation solver coupled to
