@@ -188,12 +188,8 @@ func runAblation(options) (record, error) {
 		rr.add(r, cn, cn*cn*cn*8*3)
 	}
 	comm := newTable("comm_layer", "nodes (LARGE CPU);%d", "legacy (s);%.2f", "wait-free (s);%.2f", "speedup;%.2fx")
-	p := perfmodel.Large(8)
-	for _, n := range []int{512, 4096, 16384} {
-		est := p.CoarseGather(n).Total(p.HaloExchange(n))
-		b := perfmodel.LegacyCost(m.CoresPerNode).LocalTime(est)
-		a := perfmodel.WaitFreeCost(m.CoresPerNode).LocalTime(est)
-		comm.add(n, b, a, b/a)
+	for _, r := range sim.TableI(m, []int{512, 4096, 16384}) {
+		comm.add(r.Nodes, r.Before, r.After, r.Speedup)
 	}
 	return tableSet{occ, halo, rr, comm}, nil
 }
